@@ -21,10 +21,8 @@ from repro.observe import (
     default_rules,
     flag_regressions,
 )
-from repro.rng import split
 from repro.snowplow import CampaignConfig
-from repro.snowplow.campaign import _build_snowplow_loop
-from repro.syzlang import ProgramGenerator
+from repro.snowplow.campaign import build_fuzz_loop
 
 BASELINE = os.path.join(RESULTS_DIR, "BENCH_PR4.json")
 
@@ -37,13 +35,9 @@ def _traced_campaign():
         sample_interval=300.0,
     )
     observer = Observer(slo=SLOEngine(default_rules()))
-    loop = _build_snowplow_loop(
+    loop = build_fuzz_loop(
         kernel, None, 7, config, oracle=True, observer=observer
     )
-    seeds = ProgramGenerator(
-        kernel.table, split(7, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
-    loop.seed(seeds)
     stats = loop.run()
     return loop, stats, observer
 

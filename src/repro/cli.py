@@ -63,12 +63,10 @@ from repro.observe import (
 )
 from repro.observe.slo import DEFAULT_PACKS
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig
-from repro.pmm.checkpoint import load_pmm, save_pmm
+from repro.pmm.checkpoint import save_pmm
 from repro.rng import derive_seed, split
 from repro.cluster import ClusterConfig
 from repro.snowplow import (
-    CampaignConfig,
-    SnowplowConfig,
     build_cluster,
     build_fuzz_loop,
     chaos_json,
@@ -128,25 +126,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_trained(args, kernel) -> TrainedPMM | None:
-    """A TrainedPMM from --model, or None for --baseline/--oracle."""
-    if args.baseline or getattr(args, "oracle", False):
-        return None
+def _campaign_setup(args, kernel, workers: int | None = None):
+    """The shared front half of ``fuzz``, ``cluster`` and ``cluster
+    chaos``: flag checks, the campaign config, and the model.
+
+    Returns ``(config, trained)`` — ``trained`` is None for --baseline
+    and --oracle — or None after printing why the verb exits 2.
+    """
+    for flag, value in (("--workers", workers), ("--shards", args.shards)):
+        if value is not None and value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return None
+    config = fuzz_campaign_config(
+        args.hours, args.seed, args.seed_corpus, args.batch_size
+    )
+    if args.baseline or args.oracle:
+        return config, None
     if not args.model:
         print("--model is required unless --baseline or --oracle is given",
               file=sys.stderr)
         return None
-    model, vocab, encoder = load_pmm(args.model, kernel.table)
-    return TrainedPMM(
-        model=model, encoder=encoder, vocab=vocab,
-        dataset=None, validation=None,
-    )
-
-
-def _fuzz_config(args, batch_size: int | None = None) -> CampaignConfig:
-    return fuzz_campaign_config(
-        args.hours, args.seed, args.seed_corpus, batch_size
-    )
+    return config, TrainedPMM.load(args.model, kernel.table)
 
 
 def _export_observer(observer: Observer | None, directory) -> None:
@@ -186,18 +186,12 @@ def _cmd_fuzz(args) -> int:
         directed_versions[1] if directed_versions else args.kernel,
         seed=args.kernel_seed, size=args.size,
     )
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
+    setup = _campaign_setup(args, kernel, workers=args.workers)
+    if setup is None:
         return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    config = _fuzz_config(args, batch_size=args.batch_size)
+    config, trained = setup
     run_seed = fuzz_run_seed(args.seed, kernel.version)
-    oracle = args.oracle
-    trained = _load_trained(args, kernel)
-    if trained is None and not (args.baseline or oracle):
-        return 2
+    label = "syzkaller" if args.baseline else "snowplow"
     observer = (
         Observer(slo=SLOEngine(DEFAULT_PACKS["default"]()))
         if args.observe_dir else None
@@ -208,11 +202,10 @@ def _cmd_fuzz(args) -> int:
             cluster_config=ClusterConfig(
                 workers=args.workers, shards=args.shards,
             ),
-            baseline=args.baseline, oracle=oracle, observer=observer,
+            baseline=args.baseline, oracle=args.oracle, observer=observer,
         )
         result = cluster.run()
         stats = result.merged
-        label = "syzkaller" if args.baseline else "snowplow"
         print(f"[{label} x{args.workers}] {args.hours:.1f} virtual hours on "
               f"{kernel.version}: {result.final_edges} fleet edges, "
               f"{result.final_blocks} blocks, {stats.executions} executions, "
@@ -257,10 +250,9 @@ def _cmd_fuzz(args) -> int:
               f"{counts['unreachable']} statically unreachable)")
     loop = build_fuzz_loop(
         kernel, trained, run_seed, config, baseline=args.baseline,
-        oracle=oracle, observer=observer, analysis=analysis,
+        oracle=args.oracle, observer=observer, analysis=analysis,
         director=director,
     )
-    label = "syzkaller" if args.baseline else "snowplow"
     stats = loop.run()
     print(f"[{label}] {args.hours:.1f} virtual hours on {kernel.version}: "
           f"{stats.final_edges} edges, {stats.final_blocks} blocks, "
@@ -290,23 +282,26 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_cluster(args) -> int:
     kernel = build_kernel(args.kernel, seed=args.kernel_seed, size=args.size)
-    if args.mode == "chaos":
-        return _cmd_cluster_chaos(args, kernel)
-    try:
-        counts = tuple(
-            int(piece) for piece in args.worker_counts.split(",") if piece
-        )
-    except ValueError:
-        print(f"bad --worker-counts {args.worker_counts!r}", file=sys.stderr)
+    chaos = args.mode == "chaos"
+    if not chaos:
+        try:
+            counts = tuple(
+                int(piece) for piece in args.worker_counts.split(",") if piece
+            )
+        except ValueError:
+            counts = ()
+        if not counts or any(count < 1 for count in counts):
+            print(f"bad --worker-counts {args.worker_counts!r}",
+                  file=sys.stderr)
+            return 2
+    setup = _campaign_setup(
+        args, kernel, workers=args.workers if chaos else None
+    )
+    if setup is None:
         return 2
-    if not counts or any(count < 1 for count in counts):
-        print(f"bad --worker-counts {args.worker_counts!r}", file=sys.stderr)
-        return 2
-    config = _fuzz_config(args, batch_size=args.batch_size)
-    oracle = args.oracle
-    trained = _load_trained(args, kernel)
-    if trained is None and not (args.baseline or oracle):
-        return 2
+    config, trained = setup
+    if chaos:
+        return _cmd_cluster_chaos(args, kernel, config, trained)
     result = run_scaling_campaign(
         kernel, trained, config,
         worker_counts=counts,
@@ -315,7 +310,7 @@ def _cmd_cluster(args) -> int:
             shards=args.shards,
             heartbeat_deadline=args.heartbeat_deadline,
         ),
-        baseline=args.baseline, oracle=oracle,
+        baseline=args.baseline, oracle=args.oracle,
         observe=bool(args.observe_dir),
     )
     print(scaling_json(result) if args.json else format_scaling(result))
@@ -330,20 +325,9 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _cmd_cluster_chaos(args, kernel) -> int:
+def _cmd_cluster_chaos(args, kernel, config, trained) -> int:
     """The chaos gate: one supervised fleet under the seeded fault plan,
     exiting non-zero unless every robustness invariant holds."""
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
-    config = _fuzz_config(args, batch_size=args.batch_size)
-    oracle = args.oracle
-    trained = _load_trained(args, kernel)
-    if trained is None and not (args.baseline or oracle):
-        return 2
     deadline = (
         args.heartbeat_deadline
         if args.heartbeat_deadline is not None else 900.0
@@ -354,7 +338,7 @@ def _cmd_cluster_chaos(args, kernel) -> int:
             workers=args.workers, sync_interval=args.sync_interval,
             shards=args.shards, heartbeat_deadline=deadline,
         ),
-        baseline=args.baseline, oracle=oracle,
+        baseline=args.baseline, oracle=args.oracle,
         observe=bool(args.observe_dir),
     )
     print(chaos_json(result) if args.json else format_chaos(result))
@@ -765,7 +749,7 @@ def _cmd_analyze_corpus(args) -> int:
     observer = _analyze_observer(args)
     # The same derivation the fuzz subcommand uses, so `analyze corpus`
     # lints exactly the seed corpus a smoke campaign starts from.
-    run_seed = derive_seed(args.seed, "cli-fuzz", kernel.version)
+    run_seed = fuzz_run_seed(args.seed, kernel.version)
     programs = ProgramGenerator(
         kernel.table, split(run_seed, "seed-corpus")
     ).seed_corpus(args.seed_corpus)
@@ -1113,6 +1097,31 @@ def _cmd_triage(args) -> int:
     return 0
 
 
+def _add_campaign_args(
+    parser: argparse.ArgumentParser, oracle: bool = True
+) -> None:
+    """The campaign flags ``fuzz``, ``cluster`` and ``submit`` share
+    (``submit`` has no ``--oracle``: its mode follows from --model)."""
+    parser.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
+    parser.add_argument("--baseline", action="store_true",
+                        help="run plain Syzkaller instead of Snowplow")
+    parser.add_argument("--hours", type=float, default=1.0,
+                        help="virtual hours to fuzz (per worker)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed-corpus", type=int, default=100)
+    parser.add_argument("--shards", type=int, default=1,
+                        help="corpus-hub shards; >1 enables the sharded "
+                             "hub (fleet campaigns only)")
+    parser.add_argument("--batch-size", type=int, default=None,
+                        help="serving-tier max batch size "
+                             "(1 disables batching)")
+    if oracle:
+        parser.add_argument(
+            "--oracle", action="store_true",
+            help="use the white-box oracle localizer (no model)",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Snowplow reproduction CLI"
@@ -1135,22 +1144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run a fuzzing campaign")
     _add_kernel_args(p)
-    p.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
-    p.add_argument("--baseline", action="store_true",
-                   help="run plain Syzkaller instead of Snowplow")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the white-box oracle localizer (no model)")
-    p.add_argument("--hours", type=float, default=1.0,
-                   help="virtual hours to fuzz")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-corpus", type=int, default=100)
+    _add_campaign_args(p)
     p.add_argument("--workers", type=int, default=1,
                    help="fleet size; >1 runs a hub-synced cluster")
-    p.add_argument("--shards", type=int, default=1,
-                   help="corpus-hub shards; >1 enables the sharded hub "
-                        "(cluster mode only)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="serving-tier max batch size (1 disables batching)")
     p.add_argument("--observe-dir", default=None,
                    help="export trace/metrics/flame telemetry here")
     p.add_argument("--skip-dead-targets", action="store_true",
@@ -1174,28 +1170,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale: fleet-size sweep; chaos: supervised fleet "
                         "under the seeded fault plan (exit 1 on any "
                         "invariant violation)")
-    p.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
-    p.add_argument("--baseline", action="store_true",
-                   help="sweep plain Syzkaller fleets instead of Snowplow")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the white-box oracle localizer (no model)")
-    p.add_argument("--hours", type=float, default=1.0,
-                   help="virtual hours per worker")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-corpus", type=int, default=100)
+    _add_campaign_args(p)
     p.add_argument("--worker-counts", default="1,2,4,8",
                    help="comma-separated fleet sizes to sweep (scale mode)")
     p.add_argument("--workers", type=int, default=4,
                    help="fleet size (chaos mode)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="corpus-hub shards; >1 enables the sharded hub")
     p.add_argument("--heartbeat-deadline", type=float, default=None,
                    help="virtual seconds of worker silence before the "
                         "supervisor restarts it (chaos mode defaults to 900)")
     p.add_argument("--sync-interval", type=float, default=600.0,
                    help="virtual seconds between hub syncs")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="serving-tier max batch size (1 disables batching)")
     p.add_argument("--observe-dir", default=None,
                    help="export per-fleet-size telemetry under this directory")
     p.add_argument("--json", action="store_true",
@@ -1241,15 +1225,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scheduling slice if this submit creates the service")
     p.add_argument("--tenant", required=True, help="tenant (session) name")
     _add_kernel_args(p)
-    p.add_argument("--model", help="PMM checkpoint (Snowplow mode)")
-    p.add_argument("--baseline", action="store_true",
-                   help="run plain Syzkaller instead of Snowplow")
-    p.add_argument("--hours", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seed-corpus", type=int, default=100)
+    _add_campaign_args(p, oracle=False)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--heartbeat-deadline", type=float, default=None,
                    help="attach a fleet supervisor (cluster campaigns)")
     p.add_argument("--faults", default=None,

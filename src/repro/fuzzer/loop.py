@@ -420,8 +420,9 @@ class FuzzLoop:
                         f"time.share.{label}", **self.stats.labels
                     ).set(round(seconds / total, 6))
             if total > 0:
-                # The vectorization baseline: simulated executions per
-                # virtual second (direction-tagged lower-is-worse in
+                # Simulated executions per virtual second: a ratio of the
+                # virtual-time cost model, not a measure of how fast this
+                # code runs (direction-tagged lower-is-worse in
                 # `flag_regressions`).
                 registry.gauge(
                     "fuzz.execs_per_vsecond", **self.stats.labels

@@ -73,7 +73,11 @@ class JobRunner:
             FaultInjector(FaultPlan.from_dict(spec.faults))
             if spec.faults else None
         )
-        trained = self._trained(spec)
+        # The checkpoint is checked against this job's own kernel table.
+        trained = (
+            TrainedPMM.load(spec.model, self.kernel.table)
+            if spec.mode == "model" else None
+        )
         baseline = spec.mode == "baseline"
         oracle = spec.mode == "oracle"
         if spec.workers > 1:
@@ -94,23 +98,6 @@ class JobRunner:
                 baseline=baseline, oracle=oracle,
                 injector=injector, observer=self.observer,
             )
-
-    @staticmethod
-    def _trained(spec) -> TrainedPMM | None:
-        if spec.mode != "model":
-            return None
-        from repro.pmm.checkpoint import load_pmm
-
-        model, vocab, encoder = load_pmm(
-            spec.model,
-            build_kernel(
-                spec.kernel, seed=spec.kernel_seed, size=spec.size
-            ).table,
-        )
-        return TrainedPMM(
-            model=model, encoder=encoder, vocab=vocab,
-            dataset=None, validation=None,
-        )
 
     # ----- the orchestrator's drive surface -----
 

@@ -24,6 +24,7 @@ from repro.snowplow.campaign import (
     ScalingPoint,
     build_cluster,
     build_fuzz_loop,
+    build_loop,
     chaos_plan,
     fuzz_campaign_config,
     fuzz_run_seed,
@@ -76,6 +77,7 @@ __all__ = [
     "TrainedPMM",
     "build_cluster",
     "build_fuzz_loop",
+    "build_loop",
     "chaos_json",
     "chaos_plan",
     "cluster_state",

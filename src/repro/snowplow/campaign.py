@@ -23,7 +23,7 @@ Each function reproduces one experimental protocol:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.cluster import (
     SharedInferenceTier,
 )
 from repro.errors import CampaignError
-from repro.faults import CircuitBreaker, FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan
 from repro.fuzzer.crash import CrashTriage, TriagedCrash
 from repro.fuzzer.directed import DirectedFuzzer, DirectedResult, SyzDirectLocalizer
 from repro.fuzzer.engine import MutationEngine, TypeSelector
@@ -49,9 +49,9 @@ from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.executor import Executor
 from repro.observe import Observer
+from repro.pmm.checkpoint import load_pmm
 from repro.pmm.dataset import DatasetConfig, MutationDataset, harvest_mutations
 from repro.pmm.metrics import SelectorMetrics
-from repro.pmm.serve import BatchingInferenceService, InferenceService
 from repro.pmm.model import PMM, PMMConfig
 from repro.pmm.train import TrainConfig, Trainer
 from repro.rng import derive_seed, make_rng, split
@@ -62,7 +62,12 @@ from repro.snowplow.checkpointing import (
     restore_cluster_state,
     restore_loop_state,
 )
-from repro.snowplow.fuzzer import PMMLocalizer, SnowplowConfig, SnowplowLoop
+from repro.snowplow.fuzzer import (
+    PMMLocalizer,
+    SnowplowConfig,
+    SnowplowLoop,
+    build_inference_service,
+)
 from repro.syzlang.generator import ProgramGenerator
 from repro.vclock import CostModel, VirtualClock
 
@@ -78,6 +83,7 @@ __all__ = [
     "TrainedPMM",
     "build_cluster",
     "build_fuzz_loop",
+    "build_loop",
     "chaos_plan",
     "fuzz_campaign_config",
     "fuzz_run_seed",
@@ -111,6 +117,16 @@ class TrainedPMM:
     vocab: AsmVocab
     dataset: MutationDataset
     validation: SelectorMetrics | None
+
+    @classmethod
+    def load(cls, path, table) -> "TrainedPMM":
+        """A deployable bundle from a :func:`~repro.pmm.checkpoint.save_pmm`
+        checkpoint, checked against the deployment syscall ``table``."""
+        model, vocab, encoder = load_pmm(path, table)
+        return cls(
+            model=model, encoder=encoder, vocab=vocab, dataset=None,
+            validation=None,
+        )
 
 
 def train_pmm(
@@ -257,64 +273,6 @@ class CoverageCampaignResult:
         return bool((syz_max[mask] >= snow_min[mask]).any())
 
 
-def _build_syzkaller_loop(
-    kernel: Kernel, run_seed: int, config: CampaignConfig,
-    injector: FaultInjector | None = None,
-    observer: Observer | None = None,
-    worker: int = 0,
-) -> FuzzLoop:
-    executor = Executor(kernel, seed=derive_seed(run_seed, "exec"))
-    generator = ProgramGenerator(kernel.table, split(run_seed, "gen"))
-    engine = MutationEngine(
-        TypeSelector(), SyzkallerLocalizer(k=1), generator,
-        split(run_seed, "mutate"),
-    )
-    triage = CrashTriage(executor, known_crash_signatures(kernel))
-    clock = VirtualClock(horizon=config.horizon)
-    return FuzzLoop(
-        kernel, engine, executor, triage, clock, config.cost,
-        split(run_seed, "loop"), sample_interval=config.sample_interval,
-        injector=injector, observer=observer, worker=worker,
-    )
-
-
-def _build_snowplow_loop(
-    kernel: Kernel, trained: TrainedPMM, run_seed: int,
-    config: CampaignConfig, oracle: bool = False,
-    injector: FaultInjector | None = None,
-    service=None,
-    observer: Observer | None = None,
-    worker: int = 0,
-    analysis=None,
-    director=None,
-) -> SnowplowLoop:
-    executor = Executor(kernel, seed=derive_seed(run_seed, "exec"))
-    generator = ProgramGenerator(kernel.table, split(run_seed, "gen"))
-    engine = MutationEngine(
-        TypeSelector(), SyzkallerLocalizer(k=1), generator,
-        split(run_seed, "mutate"),
-    )
-    triage = CrashTriage(executor, known_crash_signatures(kernel))
-    clock = VirtualClock(horizon=config.horizon)
-    if oracle:
-        from repro.snowplow.oracle import OracleLocalizer
-
-        localizer = OracleLocalizer(kernel)
-    else:
-        localizer = PMMLocalizer(
-            trained.model, trained.encoder, kernel, executor,
-            max_targets=config.snowplow.max_targets,
-            threshold=config.snowplow.prediction_threshold,
-        )
-    return SnowplowLoop(
-        kernel, engine, executor, triage, clock, config.cost,
-        split(run_seed, "loop"), sample_interval=config.sample_interval,
-        localizer=localizer, snowplow_config=config.snowplow,
-        injector=injector, service=service, observer=observer,
-        worker=worker, analysis=analysis, director=director,
-    )
-
-
 # ----- the one campaign entry point (CLI fuzz == service job) -----
 
 
@@ -352,6 +310,78 @@ def fuzz_campaign_config(
     )
 
 
+def _build_localizer(
+    kernel: Kernel, trained: TrainedPMM | None, config: CampaignConfig,
+    oracle: bool, executor: Executor, profiler=None,
+):
+    """Snowplow's argument localizer: the white-box oracle, or PMM."""
+    if oracle:
+        from repro.snowplow.oracle import OracleLocalizer
+
+        return OracleLocalizer(kernel)
+    return PMMLocalizer(
+        trained.model, trained.encoder, kernel, executor,
+        max_targets=config.snowplow.max_targets,
+        threshold=config.snowplow.prediction_threshold,
+        profiler=profiler,
+    )
+
+
+def build_loop(
+    kernel: Kernel,
+    trained: TrainedPMM | None,
+    run_seed: int,
+    config: CampaignConfig,
+    baseline: bool = False,
+    oracle: bool = False,
+    injector: FaultInjector | None = None,
+    observer: Observer | None = None,
+    analysis=None,
+    director=None,
+    service=None,
+    worker: int = 0,
+) -> FuzzLoop:
+    """An unseeded campaign loop: Syzkaller's when ``baseline=True``,
+    else Snowplow's (oracle- or PMM-localized).
+
+    Every arm of every campaign is built here from the ``run_seed``
+    streams, so two arms of a same-seed pair differ only in the
+    localizer plugged into the one Syzkaller mutation loop (§3.4).
+    ``service`` is a cluster's shared-tier view; without one a Snowplow
+    loop builds its own private service.
+    """
+    executor = Executor(kernel, seed=derive_seed(run_seed, "exec"))
+    generator = ProgramGenerator(kernel.table, split(run_seed, "gen"))
+    engine = MutationEngine(
+        TypeSelector(), SyzkallerLocalizer(k=1), generator,
+        split(run_seed, "mutate"),
+    )
+    parts = (
+        kernel, engine, executor,
+        CrashTriage(executor, known_crash_signatures(kernel)),
+        VirtualClock(horizon=config.horizon), config.cost,
+        split(run_seed, "loop"),
+    )
+    common = dict(
+        sample_interval=config.sample_interval, injector=injector,
+        observer=observer, worker=worker,
+    )
+    if baseline:
+        return FuzzLoop(*parts, **common)
+    return SnowplowLoop(
+        *parts,
+        localizer=_build_localizer(kernel, trained, config, oracle, executor),
+        snowplow_config=config.snowplow, service=service,
+        analysis=analysis, director=director, **common,
+    )
+
+
+def _seed_corpus(kernel: Kernel, run_seed: int, config: CampaignConfig):
+    return ProgramGenerator(
+        kernel.table, split(run_seed, "seed-corpus")
+    ).seed_corpus(config.seed_corpus_size)
+
+
 def build_fuzz_loop(
     kernel: Kernel,
     trained: TrainedPMM | None,
@@ -367,26 +397,18 @@ def build_fuzz_loop(
     """A seeded single-worker campaign loop, ready to ``run()``.
 
     Exactly the loop `repro fuzz` runs for ``--workers 1``: the
-    Syzkaller baseline when ``baseline=True``, else a Snowplow loop
-    (oracle- or PMM-localized), seeded from the ``(run_seed,
-    "seed-corpus")`` stream.  The orchestrator drives the same builder,
-    which is what makes standalone-vs-multiplexed bit-identity a
-    structural property instead of a test-time coincidence.
+    :func:`build_loop` loop, seeded from the ``(run_seed,
+    "seed-corpus")`` stream.  Every single-worker campaign arm and the
+    orchestrator drive the same builder, which is what makes
+    same-seed pairs and standalone-vs-multiplexed bit-identity
+    structural properties instead of test-time coincidences.
     """
-    if baseline:
-        loop: FuzzLoop = _build_syzkaller_loop(
-            kernel, run_seed, config, injector=injector, observer=observer,
-        )
-    else:
-        loop = _build_snowplow_loop(
-            kernel, trained, run_seed, config, oracle=oracle,
-            injector=injector, observer=observer, analysis=analysis,
-            director=director,
-        )
-    seeds = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
-    loop.seed(seeds)
+    loop = build_loop(
+        kernel, trained, run_seed, config, baseline=baseline, oracle=oracle,
+        injector=injector, observer=observer, analysis=analysis,
+        director=director,
+    )
+    loop.seed(_seed_corpus(kernel, run_seed, config))
     return loop
 
 
@@ -405,17 +427,14 @@ def run_coverage_campaign(
     snowplow_runs: list[FuzzStats] = []
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, "run", run, kernel.version)
-        seeds = ProgramGenerator(
-            kernel.table, split(run_seed, "seed-corpus")
-        ).seed_corpus(config.seed_corpus_size)
-        syz = _build_syzkaller_loop(kernel, run_seed, config)
-        syz.seed([program.clone() for program in seeds])
-        syzkaller_runs.append(syz.run())
-        snow = _build_snowplow_loop(
-            kernel, trained, run_seed, config, oracle=oracle
+        syzkaller_runs.append(
+            build_fuzz_loop(kernel, None, run_seed, config, baseline=True)
+            .run()
         )
-        snow.seed([program.clone() for program in seeds])
-        snowplow_runs.append(snow.run())
+        snowplow_runs.append(
+            build_fuzz_loop(kernel, trained, run_seed, config, oracle=oracle)
+            .run()
+        )
     return CoverageCampaignResult(
         kernel_version=kernel.version,
         horizon=config.horizon,
@@ -477,15 +496,11 @@ def run_crash_campaign(
     syzkaller_crashes: list[list[TriagedCrash]] = []
     for run in range(config.runs):
         run_seed = derive_seed(config.seed, "crash-run", run, kernel.version)
-        seeds = ProgramGenerator(
-            kernel.table, split(run_seed, "seed-corpus")
-        ).seed_corpus(config.seed_corpus_size)
-        syz = _build_syzkaller_loop(kernel, run_seed, config)
-        syz.seed([program.clone() for program in seeds])
-        syz_stats = syz.run()
+        syz_stats = build_fuzz_loop(
+            kernel, None, run_seed, config, baseline=True
+        ).run()
         syzkaller_crashes.append(list(syz_stats.crashes))
-        snow = _build_snowplow_loop(kernel, trained, run_seed, config)
-        snow.seed([program.clone() for program in seeds])
+        snow = build_fuzz_loop(kernel, trained, run_seed, config)
         snow_stats = snow.run()
         if reproduce:
             for crash in snow_stats.crashes:
@@ -565,25 +580,19 @@ def run_fault_tolerance_campaign(
             f"checkpoint interval must be positive, got {checkpoint_interval}"
         )
     run_seed = derive_seed(config.seed, "fault-run", kernel.version)
-    seeds = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
 
     # Reference: the same seed with nothing failing.
-    clean = _build_snowplow_loop(kernel, trained, run_seed, config)
-    clean.seed([program.clone() for program in seeds])
-    fault_free = clean.run()
+    fault_free = build_fuzz_loop(kernel, trained, run_seed, config).run()
 
     # Degraded: same seed, same construction, faults injected.  Only
     # the faulted loop is observed — an observer shared with the clean
     # loop would collide on the unlabeled per-worker series.
     injector = FaultInjector(plan)
     observer = Observer() if observe else None
-    loop = _build_snowplow_loop(
+    loop = build_fuzz_loop(
         kernel, trained, run_seed, config, injector=injector,
         observer=observer,
     )
-    loop.seed([program.clone() for program in seeds])
     store = (
         CheckpointStore(checkpoint_dir, injector=injector)
         if checkpoint_dir is not None else None
@@ -608,18 +617,17 @@ def run_fault_tolerance_campaign(
             # carries the telemetry recorded up to the last save, so a
             # resumed run's exports replay from durable state alone.
             observer = Observer() if observe else None
-            loop = _build_snowplow_loop(
+            rebuild = build_loop if last_state is not None else build_fuzz_loop
+            loop = rebuild(
                 kernel, trained, run_seed, config,
-                injector=FaultInjector(plan),
-                observer=observer,
+                injector=FaultInjector(plan), observer=observer,
             )
             if last_state is not None:
                 restore_loop_state(loop, last_state)
             else:
-                # Crashed before the first checkpoint: restart from the
-                # seed corpus, which is all a worker with no durable
-                # state can do.
-                loop.seed([program.clone() for program in seeds])
+                # Crashed before the first checkpoint: the rebuilt loop
+                # restarts from the seed corpus, which is all a worker
+                # with no durable state can do.
                 loop.stats.resumes += 1
             resumed = True
             continue
@@ -662,19 +670,11 @@ def _build_shared_tier(
     """The cluster's central serving tier: one (batching) service whose
     predictor runs the localizer on tagged ``(worker_id, query)``
     payloads with a serve-side RNG stream."""
-    cfg = config.snowplow
-    if oracle:
-        from repro.snowplow.oracle import OracleLocalizer
-
-        localizer = OracleLocalizer(kernel)
-    else:
-        localizer = PMMLocalizer(
-            trained.model, trained.encoder, kernel,
-            Executor(kernel, seed=derive_seed(run_seed, "serve-exec")),
-            max_targets=cfg.max_targets,
-            threshold=cfg.prediction_threshold,
-            profiler=observer.profiler if observer is not None else None,
-        )
+    localizer = _build_localizer(
+        kernel, trained, config, oracle,
+        Executor(kernel, seed=derive_seed(run_seed, "serve-exec")),
+        profiler=observer.profiler if observer is not None else None,
+    )
     serve_rng = split(run_seed, "serve")
 
     def predict(payload):
@@ -682,50 +682,12 @@ def _build_shared_tier(
         program, coverage, targets, _ = query
         return localizer.localize(program, coverage, targets, serve_rng)
 
-    latency = config.cost.inference_latency
-    breaker = CircuitBreaker(
-        failure_threshold=cfg.breaker_failure_threshold,
-        reset_timeout=cfg.breaker_reset_factor * latency,
+    service = build_inference_service(
+        config.snowplow, predict, config.cost.inference_latency,
+        batched=True, injector=injector,
+        registry=observer.registry if observer is not None else None,
+        tracer=observer.tracer if observer is not None else None,
     )
-    registry = observer.registry if observer is not None else None
-    tracer = observer.tracer if observer is not None else None
-    shed_timeout = (
-        cfg.shed_timeout_factor * latency
-        if cfg.shed_timeout_factor is not None else None
-    )
-    if cfg.max_batch_size > 1:
-        service: InferenceService = BatchingInferenceService(
-            predict_fn=predict,
-            base_latency=cfg.batch_base_factor * latency,
-            marginal_latency=cfg.batch_marginal_factor * latency,
-            max_batch_size=cfg.max_batch_size,
-            batch_timeout=cfg.batch_timeout_factor * latency,
-            servers=cfg.servers,
-            max_queue=cfg.max_queue,
-            deadline=cfg.request_deadline_factor * latency,
-            max_retries=cfg.max_retries,
-            retry_backoff=cfg.retry_backoff_factor * latency,
-            injector=injector,
-            breaker=breaker,
-            registry=registry,
-            tracer=tracer,
-            shed_timeout=shed_timeout,
-        )
-    else:
-        service = InferenceService(
-            predict_fn=predict,
-            latency=latency,
-            servers=cfg.servers,
-            max_queue=cfg.max_queue,
-            deadline=cfg.request_deadline_factor * latency,
-            max_retries=cfg.max_retries,
-            retry_backoff=cfg.retry_backoff_factor * latency,
-            injector=injector,
-            breaker=breaker,
-            registry=registry,
-            tracer=tracer,
-            shed_timeout=shed_timeout,
-        )
     return SharedInferenceTier(service)
 
 
@@ -755,9 +717,7 @@ def build_cluster(
     workers with deterministically reseeded loops.
     """
     cluster_config = cluster_config or ClusterConfig()
-    seeds = ProgramGenerator(
-        kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
+    seeds = _seed_corpus(kernel, run_seed, config)
     registry = observer.registry if observer is not None else None
     if cluster_config.shards > 1:
         hub: CorpusHub = ShardedHub(
@@ -775,17 +735,12 @@ def build_cluster(
     def loop_factory(index: int, seed: int) -> FuzzLoop:
         # Shared between generation-0 construction and supervisor
         # restarts: only the seed differs across a worker's generations.
-        if baseline:
-            loop: FuzzLoop = _build_syzkaller_loop(
-                kernel, seed, config, injector=injector,
-                observer=observer, worker=index,
-            )
-        else:
-            loop = _build_snowplow_loop(
-                kernel, trained, seed, config, oracle=oracle,
-                injector=injector, service=tier.view(index),
-                observer=observer, worker=index,
-            )
+        loop = build_loop(
+            kernel, trained, seed, config, baseline=baseline, oracle=oracle,
+            injector=injector, observer=observer,
+            service=tier.view(index) if tier is not None else None,
+            worker=index,
+        )
         loop.seed([program.clone() for program in seeds])
         return loop
 
@@ -878,15 +833,7 @@ def run_scaling_campaign(
         observer = Observer() if observe else None
         cluster = build_cluster(
             kernel, trained, run_seed, config,
-            cluster_config=ClusterConfig(
-                workers=count,
-                sync_interval=base.sync_interval,
-                sync_cost=base.sync_cost,
-                shards=base.shards,
-                heartbeat_deadline=base.heartbeat_deadline,
-                supervise_interval=base.supervise_interval,
-                max_sync_retries=base.max_sync_retries,
-            ),
+            cluster_config=replace(base, workers=count),
             baseline=baseline, oracle=oracle, observer=observer,
         )
         result = cluster.run()
@@ -1303,8 +1250,8 @@ def run_patch_campaign(
 ) -> PatchCampaignResult:
     """Directed-vs-plain time-to-changed-surface on one release diff.
 
-    Both arms run the *same* oracle Snowplow loop with the same run
-    seed and a cloned seed corpus; the plain arm carries an
+    Both arms run the *same* oracle Snowplow loop from the same run
+    seed, hence the same seed corpus; the plain arm carries an
     observe-only :class:`~repro.analyze.impact.PatchDirector` (zero rng
     draws, so it is bit-identical to an undirected run) purely to
     record when each changed block is first covered, while the directed
@@ -1320,25 +1267,17 @@ def run_patch_campaign(
     run_seed = derive_seed(
         config.seed, "patch", old_kernel.version, new_kernel.version
     )
-    seeds = ProgramGenerator(
-        new_kernel.table, split(run_seed, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
-
     plain_director = PatchDirector(new_kernel, manifest, observe_only=True)
-    plain_loop = _build_snowplow_loop(
+    plain_stats = build_fuzz_loop(
         new_kernel, None, run_seed, config, oracle=True,
         director=plain_director,
-    )
-    plain_loop.seed([program.clone() for program in seeds])
-    plain_stats = plain_loop.run()
+    ).run()
 
     directed_director = PatchDirector(new_kernel, manifest)
-    directed_loop = _build_snowplow_loop(
+    directed_stats = build_fuzz_loop(
         new_kernel, None, run_seed, config, oracle=True,
         director=directed_director,
-    )
-    directed_loop.seed([program.clone() for program in seeds])
-    directed_stats = directed_loop.run()
+    ).run()
 
     return PatchCampaignResult(
         from_version=old_kernel.version,

@@ -29,10 +29,15 @@ from repro.graphs.encode import GraphEncoder
 from repro.kernel.build import Kernel
 from repro.kernel.coverage import Coverage
 from repro.pmm.model import PMM
-from repro.pmm.serve import InferenceService
+from repro.pmm.serve import BatchingInferenceService, InferenceService
 from repro.syzlang.program import ArgPath, Program
 
-__all__ = ["PMMLocalizer", "SnowplowConfig", "SnowplowLoop"]
+__all__ = [
+    "PMMLocalizer",
+    "SnowplowConfig",
+    "SnowplowLoop",
+    "build_inference_service",
+]
 
 
 @dataclass
@@ -95,6 +100,52 @@ class SnowplowConfig:
     # back to the heuristic localizer instead of queueing stale work).
     # None keeps the historical queue-until-full behaviour.
     shed_timeout_factor: float | None = None
+
+
+def build_inference_service(
+    cfg: SnowplowConfig,
+    predict_fn,
+    latency: float,
+    batched: bool = False,
+    injector=None,
+    registry=None,
+    tracer=None,
+) -> InferenceService:
+    """The serving tier ``cfg`` describes, timed in units of ``latency``.
+
+    The one constructor of both service classes.  A standalone
+    :class:`SnowplowLoop` gets a private, unbatched service; a cluster's
+    shared tier passes ``batched=True`` and batches whenever
+    ``cfg.max_batch_size > 1``.
+    """
+    shared = dict(
+        predict_fn=predict_fn,
+        servers=cfg.servers,
+        max_queue=cfg.max_queue,
+        deadline=cfg.request_deadline_factor * latency,
+        max_retries=cfg.max_retries,
+        retry_backoff=cfg.retry_backoff_factor * latency,
+        injector=injector,
+        breaker=CircuitBreaker(
+            failure_threshold=cfg.breaker_failure_threshold,
+            reset_timeout=cfg.breaker_reset_factor * latency,
+        ),
+        registry=registry,
+        tracer=tracer,
+        shed_timeout=(
+            cfg.shed_timeout_factor * latency
+            if cfg.shed_timeout_factor is not None else None
+        ),
+    )
+    if batched and cfg.max_batch_size > 1:
+        return BatchingInferenceService(
+            base_latency=cfg.batch_base_factor * latency,
+            marginal_latency=cfg.batch_marginal_factor * latency,
+            max_batch_size=cfg.max_batch_size,
+            batch_timeout=cfg.batch_timeout_factor * latency,
+            **shared,
+        )
+    return InferenceService(latency=latency, **shared)
 
 
 class PMMLocalizer:
@@ -216,30 +267,15 @@ class SnowplowLoop(FuzzLoop):
         self.director = director
         self._directed_last = False
         cfg = self.snowplow_config
-        latency = self.cost.inference_latency
         # A cluster hands every worker a view onto one shared serving
         # tier; standalone loops build their own private service.
         self._owns_service = service is None
         if service is not None:
             self.service = service
         else:
-            self.service = InferenceService(
-                predict_fn=self._predict,
-                latency=latency,
-                servers=cfg.servers,
-                max_queue=cfg.max_queue,
-                deadline=cfg.request_deadline_factor * latency,
-                max_retries=cfg.max_retries,
-                retry_backoff=cfg.retry_backoff_factor * latency,
-                shed_timeout=(
-                    cfg.shed_timeout_factor * latency
-                    if cfg.shed_timeout_factor is not None else None
-                ),
+            self.service = build_inference_service(
+                cfg, self._predict, self.cost.inference_latency,
                 injector=self.injector,
-                breaker=CircuitBreaker(
-                    failure_threshold=cfg.breaker_failure_threshold,
-                    reset_timeout=cfg.breaker_reset_factor * latency,
-                ),
                 registry=(
                     self.observer.registry
                     if self.observer is not None else None

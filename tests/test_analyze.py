@@ -31,7 +31,7 @@ from repro.kernel.conditions import ArgCondition, CondOp, StateCondition
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig, evaluate_selector
 from repro.rng import derive_seed, make_rng, split
 from repro.snowplow import CampaignConfig, train_pmm
-from repro.snowplow.campaign import _build_snowplow_loop
+from repro.snowplow.campaign import build_loop
 from repro.syzlang import ProgramGenerator
 
 
@@ -463,7 +463,7 @@ class TestFuzzerIntegration:
             sample_interval=300.0,
         )
         run_seed = derive_seed(config.seed, "analyze-test", 0)
-        loop = _build_snowplow_loop(
+        loop = build_loop(
             tiny_68, None, run_seed, config, oracle=True,
             analysis=reach_68,
         )
@@ -481,8 +481,7 @@ class TestFuzzerIntegration:
             sample_interval=300.0,
         )
         run_seed = derive_seed(config.seed, "analyze-test", 1)
-        loop = _build_snowplow_loop(tiny_68, None, run_seed, config,
-                                    oracle=True)
+        loop = build_loop(tiny_68, None, run_seed, config, oracle=True)
         seeds = ProgramGenerator(
             tiny_68.table, split(run_seed, "s")
         ).seed_corpus(6)

@@ -72,6 +72,21 @@ def _oracle_cluster(kernel, workers, seed=11, horizon=2400.0):
     )
 
 
+@pytest.fixture(scope="module")
+def reference_run(kernel):
+    """``_oracle_cluster(kernel, workers=w).run()`` at the default seed
+    and horizon, computed once per fleet size and shared by the tests
+    that only read it."""
+    cache = {}
+
+    def run(workers):
+        if workers not in cache:
+            cache[workers] = _oracle_cluster(kernel, workers=workers).run()
+        return cache[workers]
+
+    return run
+
+
 def _result_signature(result):
     return (
         result.final_edges,
@@ -234,28 +249,26 @@ class TestSchedulerDeterminism:
             ClusterScheduler(workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_repeated_runs_bit_identical(self, kernel, workers):
-        results = [
-            _oracle_cluster(kernel, workers=workers).run() for _ in range(2)
-        ]
-        assert _result_signature(results[0]) == _result_signature(results[1])
+    def test_repeated_runs_bit_identical(self, kernel, reference_run, workers):
+        fresh = _oracle_cluster(kernel, workers=workers).run()
+        assert _result_signature(reference_run(workers)) == (
+            _result_signature(fresh)
+        )
 
-    def test_more_workers_more_coverage(self, kernel):
-        single = _oracle_cluster(kernel, workers=1).run()
-        quad = _oracle_cluster(kernel, workers=4).run()
-        assert quad.final_edges > single.final_edges
+    def test_more_workers_more_coverage(self, reference_run):
+        assert reference_run(4).final_edges > reference_run(1).final_edges
 
-    def test_workers_actually_sync(self, kernel):
-        result = _oracle_cluster(kernel, workers=2).run()
+    def test_workers_actually_sync(self, reference_run):
+        result = reference_run(2)
         assert all(stats.hub_syncs > 0 for stats in result.worker_stats)
         assert result.hub_stats.accepted > 0
         # Cross-pollination happened in both directions.
         assert sum(stats.hub_pulled for stats in result.worker_stats) > 0
 
-    def test_run_until_is_resumable_inline(self, kernel):
+    def test_run_until_is_resumable_inline(self, kernel, reference_run):
         """Chunked driving reaches the same end state as one run() —
         the scheduler has no hidden per-call state."""
-        whole = _oracle_cluster(kernel, workers=2).run()
+        whole = reference_run(2)
         chunked = _oracle_cluster(kernel, workers=2)
         for bound in (600.0, 1200.0, 1800.0):
             chunked.run_until(bound)

@@ -42,10 +42,8 @@ from repro.observe import (
     spans_jsonl,
     sparkline,
 )
-from repro.rng import split
 from repro.snowplow import CampaignConfig, loop_state, restore_loop_state
-from repro.snowplow.campaign import _build_syzkaller_loop
-from repro.syzlang import ProgramGenerator
+from repro.snowplow.campaign import build_fuzz_loop
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -531,11 +529,9 @@ def _stalling_campaign(horizon=15000.0):
     observer = Observer(
         slo=SLOEngine(default_fuzz_rules(stall_window=1500.0))
     )
-    loop = _build_syzkaller_loop(kernel, 5, config, observer=observer)
-    seeds = ProgramGenerator(
-        kernel.table, split(5, "seed-corpus")
-    ).seed_corpus(config.seed_corpus_size)
-    loop.seed(seeds)
+    loop = build_fuzz_loop(
+        kernel, None, 5, config, baseline=True, observer=observer
+    )
     loop.run()
     return observer
 
@@ -567,11 +563,9 @@ class TestCheckpointV7:
             horizon=1200.0, runs=1, seed=3, seed_corpus_size=8,
             sample_interval=300.0,
         )
-        loop = _build_syzkaller_loop(kernel, 9, config, observer=Observer())
-        seeds = ProgramGenerator(
-            kernel.table, split(9, "seed-corpus")
-        ).seed_corpus(8)
-        loop.seed(seeds)
+        loop = build_fuzz_loop(
+            kernel, None, 9, config, baseline=True, observer=Observer()
+        )
         state = loop_state(loop)
         assert state["format_version"] == 7
         assert "timeseries" in state["observer"]
@@ -582,14 +576,9 @@ class TestCheckpointV7:
                 horizon=2400.0, runs=1, seed=3, seed_corpus_size=8,
                 sample_interval=300.0,
             )
-            loop = _build_syzkaller_loop(
-                kernel, 9, config, observer=Observer()
+            return build_fuzz_loop(
+                kernel, None, 9, config, baseline=True, observer=Observer()
             )
-            seeds = ProgramGenerator(
-                kernel.table, split(9, "seed-corpus")
-            ).seed_corpus(8)
-            loop.seed(seeds)
-            return loop
 
         whole = build()
         whole.run()

@@ -7,6 +7,7 @@ the whole module stays in tier-1 time budget.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
@@ -369,3 +370,40 @@ class TestServiceDeterminism:
         _advance(server)
         result = _result(server, job_id)
         assert result["final_edges"] > 0
+
+
+class TestJobRunnerModelMode:
+    def test_builds_its_kernel_once(self, tmp_path, monkeypatch):
+        """A model-mode job checks its checkpoint against its own kernel
+        table: ``repro serve`` rebuilds every running job on each pass,
+        so a second kernel build per job would repeat every pass."""
+        from repro.graphs import AsmVocab, GraphEncoder
+        from repro.pmm import PMM, PMMConfig
+        from repro.pmm.checkpoint import save_pmm
+        from repro.service import runner
+
+        kernel = build_kernel("6.8", seed=1, size="tiny")
+        vocab = AsmVocab.build(kernel)
+        model = PMM(
+            len(vocab), GraphEncoder(vocab, kernel.table).num_syscalls,
+            PMMConfig(dim=8, gnn_layers=1, asm_layers=1, asm_heads=2),
+        )
+        path = tmp_path / "pmm.npz"
+        save_pmm(path, model, vocab, kernel.table)
+
+        calls = []
+
+        def counting_build_kernel(*args, **kwargs):
+            calls.append(args)
+            return build_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_kernel", counting_build_kernel)
+        job = runner.JobRunner(CampaignSpec(
+            **_spec_params("alice", mode="model", model=str(path))
+        ))
+        assert len(calls) == 1
+        loaded = job.loop.pmm_localizer.model
+        assert all(
+            np.array_equal(ours, theirs)
+            for ours, theirs in zip(loaded.state_arrays(), model.state_arrays())
+        )
