@@ -11,10 +11,10 @@ layer provides the ground truth the learning stack is measured against.
   :class:`StaticOracleLocalizer`, the upper-bound row of the Table-1
   selector comparison and a precise steering source for directed
   fuzzing.
-- :mod:`repro.analyze.reach` — reachability and solvability.  Dominator
-  trees, shared reverse-BFS distances, and per-path satisfiability under
-  an interval+bitmask abstract domain; statically-dead blocks are
-  exposed so fuzzing loops stop wasting budget on unreachable targets.
+- :mod:`repro.analyze.reach` — reachability and solvability.  A
+  path-state DFS decides per-path satisfiability under an
+  interval+bitmask abstract domain; statically-dead blocks are exposed
+  so fuzzing loops stop wasting budget on unreachable targets.
 - :mod:`repro.analyze.witness` — concretization.  Builds a program that
   provably reaches a target block (producers, state setup, satisfying
   slot values), the executable soundness proof for the oracle.
@@ -30,7 +30,9 @@ layer provides the ground truth the learning stack is measured against.
   :class:`TargetManifest` that ``fuzz --directed patch:<a>..<b>``
   consumes, and computes the AFLGo-style :class:`DistanceField` (CFG
   edges plus StateCondition producer edges) the
-  :class:`PatchDirector` schedules against.
+  :class:`PatchDirector` schedules against.  The same field with
+  producer edges priced at infinity is the plain reverse hop count
+  SyzDirect-style directed fuzzing ranks seeds by.
 """
 
 from repro.analyze.deps import (
@@ -74,7 +76,6 @@ from repro.analyze.reach import (
     PathState,
     PathWitness,
     ReachabilityAnalysis,
-    dominator_tree,
 )
 from repro.analyze.witness import WitnessBuilder, witness_program
 
@@ -106,7 +107,6 @@ __all__ = [
     "classify_block",
     "compute_impact",
     "describe_condition",
-    "dominator_tree",
     "findings_json",
     "load_findings",
     "registered_checks",

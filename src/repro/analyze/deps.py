@@ -23,9 +23,11 @@ PMM's precision/recall are reported against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.analyze.reach import AbstractValue
+from repro.errors import ProgramError
 from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.cfg import HandlerCFG
@@ -162,7 +164,7 @@ class BlockDependencies:
                 continue
             try:
                 value = program.get(path)
-            except Exception:
+            except ProgramError:
                 pending.append(path)  # slot not materialized yet
                 continue
             if isinstance(value, ResourceValue):
@@ -199,12 +201,6 @@ class DependencyOracle:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._mandatory: dict[int, frozenset[Predicate]] = {}
-        self._effect_writers: dict[str, list[int]] = {}
-        for block_id, block in kernel.blocks.items():
-            for key, _value in block.effects:
-                self._effect_writers.setdefault(key, []).append(block_id)
-        for writers in self._effect_writers.values():
-            writers.sort()
         for cfg in kernel.handlers.values():
             self._slice_handler(cfg)
 
@@ -285,7 +281,7 @@ class DependencyOracle:
         producers: list[str] = []
         producer_slots: list[SteeringSlot] = []
         seen: set[SteeringSlot] = set()
-        for writer in self._effect_writers.get(condition.key, ()):
+        for writer in self.effect_writers(condition.key):
             producer = self.kernel.handler_of_block.get(writer)
             if producer is None:
                 continue
@@ -307,7 +303,29 @@ class DependencyOracle:
         )
 
     def effect_writers(self, key: str) -> tuple[int, ...]:
-        return tuple(self._effect_writers.get(key, ()))
+        return self.kernel.writers_of_flag.get(key, ())
+
+    def steering_paths(
+        self, program: Program, targets: Iterable[int]
+    ) -> list[ArgPath]:
+        """Every target's steering paths on ``program``, targets in
+        sorted order, first occurrence kept."""
+        return list(dict.fromkeys(
+            path
+            for target in sorted(targets)
+            for path in self.dependencies(target).steering_paths(program)
+        ))
+
+    def pending_paths(
+        self, program: Program, targets: Iterable[int]
+    ) -> list[ArgPath]:
+        """Every target's still-violated steering paths on ``program``,
+        targets in sorted order, first occurrence kept."""
+        return list(dict.fromkeys(
+            path
+            for target in sorted(targets)
+            for path in self.dependencies(target).pending_paths(program)
+        ))
 
 
 def _predicate_sort_key(predicate: Predicate):
@@ -341,18 +359,12 @@ class StaticOracleLocalizer:
         self.oracle = oracle if oracle is not None else DependencyOracle(kernel)
         self.max_paths = max_paths
 
-    def target_paths(self, program: Program, targets) -> list[ArgPath]:
+    def target_paths(
+        self, program: Program, targets: Iterable[int] | None
+    ) -> list[ArgPath]:
         """Untruncated steering paths for ``targets``, deduplicated in
         deterministic order — the static ground truth for one example."""
-        paths: list[ArgPath] = []
-        seen: set[ArgPath] = set()
-        for target in sorted(targets or ()):
-            deps = self.oracle.dependencies(target)
-            for path in deps.steering_paths(program):
-                if path not in seen:
-                    seen.add(path)
-                    paths.append(path)
-        return paths
+        return self.oracle.steering_paths(program, targets or ())
 
     def localize(self, program, coverage, targets, rng) -> list[ArgPath]:
         paths = self.target_paths(program, targets)

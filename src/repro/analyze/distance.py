@@ -17,9 +17,9 @@ Concretely the field is a multi-source Dijkstra over the reversed CFG:
 
 - every CFG edge ``u -> v`` contributes a reverse edge of weight 1;
 - every state-condition block ``c`` on flag ``k`` contributes reverse
-  edges of weight :data:`STATE_EDGE_COST` to each effect block writing
-  ``k`` (the def-use chase of :class:`~repro.analyze.deps
-  .DependencyOracle`).
+  edges of weight ``state_edge_cost`` to each effect block writing
+  ``k`` (:attr:`~repro.kernel.build.Kernel.writers_of_flag`, the same
+  def-use index :class:`~repro.analyze.deps.DependencyOracle` chases).
 
 Per-block distances aggregate over the target set by minimum (AFLGo's
 harmonic mean degenerates to the minimum here because targets cluster
@@ -28,10 +28,11 @@ the simplification).  :meth:`DistanceField.program_distance` is then the
 minimum over a program's covered blocks — the scheduling key of the
 patch director.
 
-Dominator trees supply the second static ingredient: the *steering
-spine* of a target, the chain of condition blocks every entry path must
-resolve.  The director steers the first unresolved spine condition
-instead of mutating blindly at the target.
+With ``state_edge_cost=math.inf`` no producer edge is ever relaxed and
+the field is the plain reverse hop count over CFG edges: the distance
+SyzDirect-style :class:`~repro.fuzzer.directed.DirectedFuzzer` ranks
+seeds by, and the upstream test of the release-diff pass's touched-bug
+chains.  This module is the only distance code in the repository.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.analyze.reach import dominator_tree
-from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
 from repro.kernel.conditions import StateCondition
 
@@ -68,28 +67,7 @@ class DistanceField:
             sorted({t for t in targets if t in kernel.blocks})
         )
         self.state_edge_cost = float(state_edge_cost)
-        self._producer_edges = self._build_producer_edges()
         self.distance: dict[int, float] = self._solve()
-        self._spines: dict[int, tuple[int, ...]] = {}
-        self._dom_trees: dict[str, dict[int, int | None]] = {}
-
-    # ----- construction -----
-
-    def _build_producer_edges(self) -> dict[int, tuple[int, ...]]:
-        """Reverse producer edges: state-condition block -> effect
-        blocks writing its flag."""
-        writers: dict[str, list[int]] = {}
-        for block_id, block in self.kernel.blocks.items():
-            for key, _value in block.effects:
-                writers.setdefault(key, []).append(block_id)
-        edges: dict[int, tuple[int, ...]] = {}
-        for block_id, block in self.kernel.blocks.items():
-            condition = block.condition
-            if isinstance(condition, StateCondition):
-                edges[block_id] = tuple(
-                    sorted(writers.get(condition.key, ()))
-                )
-        return edges
 
     def _solve(self) -> dict[int, float]:
         dist: dict[int, float] = {target: 0.0 for target in self.targets}
@@ -97,7 +75,9 @@ class DistanceField:
             (0.0, target) for target in self.targets
         ]
         heapq.heapify(heap)
+        blocks = self.kernel.blocks
         preds = self.kernel.preds
+        writers_of_flag = self.kernel.writers_of_flag
         while heap:
             d, block_id = heapq.heappop(heap)
             if d > dist.get(block_id, math.inf):
@@ -107,7 +87,10 @@ class DistanceField:
                 if candidate < dist.get(pred, math.inf):
                     dist[pred] = candidate
                     heapq.heappush(heap, (candidate, pred))
-            for writer in self._producer_edges.get(block_id, ()):
+            condition = blocks[block_id].condition
+            if not isinstance(condition, StateCondition):
+                continue
+            for writer in writers_of_flag.get(condition.key, ()):
                 candidate = d + self.state_edge_cost
                 if candidate < dist.get(writer, math.inf):
                     dist[writer] = candidate
@@ -134,32 +117,3 @@ class DistanceField:
         the kernel the directed gradient can see at all."""
         total = len(self.kernel.blocks)
         return len(self.distance) / total if total else 0.0
-
-    def steering_spine(self, target: int) -> tuple[int, ...]:
-        """Condition blocks dominating ``target`` in its handler,
-        entry-first: the branches every path to the target resolves, in
-        the order a program meets them."""
-        cached = self._spines.get(target)
-        if cached is not None:
-            return cached
-        syscall = self.kernel.handler_of_block.get(target)
-        if syscall is None or syscall not in self.kernel.handlers:
-            self._spines[target] = ()
-            return ()
-        cfg = self.kernel.handlers[syscall]
-        if target not in cfg.blocks:
-            self._spines[target] = ()
-            return ()
-        idom = self._dom_trees.get(syscall)
-        if idom is None:
-            idom = dominator_tree(cfg)
-            self._dom_trees[syscall] = idom
-        chain: list[int] = []
-        node = idom.get(target)
-        while node is not None:
-            if cfg.blocks[node].role is BlockRole.CONDITION:
-                chain.append(node)
-            node = idom.get(node)
-        spine = tuple(reversed(chain))
-        self._spines[target] = spine
-        return spine

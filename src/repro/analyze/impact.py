@@ -388,7 +388,9 @@ def _touched_bugs(
         if crash_block in changed:
             touched.add(bug.bug_id)
             continue
-        upstream = new_kernel.distance_to(crash_block)
+        upstream = DistanceField(
+            new_kernel, [crash_block], state_edge_cost=math.inf
+        ).distance
         if any(block_id in upstream for block_id in changed):
             touched.add(bug.bug_id)
     return tuple(sorted(touched))

@@ -22,19 +22,18 @@ blocks routinely (two branches on the same argument path with
 contradictory operands), and they waste fuzzing budget: the frontier
 scheduler keeps proposing them as targets that no mutation can reach.
 :class:`ReachabilityAnalysis` exposes the dead set so loops can skip
-them, shares the reverse-BFS distance maps directed fuzzing uses, and
-hands :mod:`repro.analyze.witness` a concrete feasible path (with
-per-slot abstract values) from which satisfying programs are built.
+them and hands :mod:`repro.analyze.witness` a concrete feasible path
+(with per-slot abstract values) from which satisfying programs are
+built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.errors import AnalysisError
 from repro.kernel.blocks import BlockRole
 from repro.kernel.build import Kernel
-from repro.kernel.cfg import HandlerCFG
 from repro.kernel.conditions import ArgCondition, CondOp, StateCondition
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "PathState",
     "PathWitness",
     "ReachabilityAnalysis",
-    "dominator_tree",
 ]
 
 # Scalar views are Python ints; these bounds only exist so intervals
@@ -254,12 +252,6 @@ class PathState:
     slots: tuple[tuple[tuple[str, tuple[int, ...]], AbstractValue], ...] = ()
     flags: tuple[tuple[str, FlagRequirement], ...] = ()
 
-    def slot_map(self) -> dict[tuple[str, tuple[int, ...]], AbstractValue]:
-        return dict(self.slots)
-
-    def flag_map(self) -> dict[str, FlagRequirement]:
-        return dict(self.flags)
-
     def refine_arg(self, condition: ArgCondition, taken: bool) -> "PathState | None":
         key = (condition.syscall, condition.path_elements)
         current = dict(self.slots)
@@ -296,62 +288,6 @@ class PathWitness:
     state: PathState
 
 
-def dominator_tree(cfg: HandlerCFG) -> dict[int, int | None]:
-    """Immediate dominators of every reachable block (entry maps to
-    None), via the Cooper–Harper–Kennedy iteration on reverse postorder.
-    """
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def visit(block_id: int) -> None:
-        stack: list[tuple[int, int]] = [(block_id, 0)]
-        seen.add(block_id)
-        while stack:
-            current, cursor = stack.pop()
-            succs = cfg.successors(current)
-            if cursor < len(succs):
-                stack.append((current, cursor + 1))
-                succ = succs[cursor]
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, 0))
-            else:
-                order.append(current)
-
-    visit(cfg.entry)
-    rpo = list(reversed(order))
-    index = {block_id: pos for pos, block_id in enumerate(rpo)}
-    preds: dict[int, list[int]] = {block_id: [] for block_id in rpo}
-    for block_id in rpo:
-        for succ in cfg.successors(block_id):
-            preds[succ].append(block_id)
-    idom: dict[int, int | None] = {cfg.entry: cfg.entry}
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]  # type: ignore[assignment]
-            while index[b] > index[a]:
-                b = idom[b]  # type: ignore[assignment]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for block_id in rpo[1:]:
-            processed = [p for p in preds[block_id] if p in idom]
-            if not processed:
-                continue
-            new_idom = processed[0]
-            for pred in processed[1:]:
-                new_idom = intersect(pred, new_idom)
-            if idom.get(block_id) != new_idom:
-                idom[block_id] = new_idom
-                changed = True
-    idom[cfg.entry] = None
-    return idom
-
-
 class ReachabilityAnalysis:
     """Cached static reachability/solvability facts about one kernel."""
 
@@ -360,8 +296,6 @@ class ReachabilityAnalysis:
         self.observer = observer
         self._feasible: dict[str, frozenset[int]] = {}
         self._truncated: set[str] = set()
-        self._distances: dict[int, dict[int, int]] = {}
-        self._dominators: dict[str, dict[int, int | None]] = {}
         self._dead: frozenset[int] | None = None
         self._writable: dict[str, frozenset[int]] | None = None
 
@@ -370,22 +304,25 @@ class ReachabilityAnalysis:
     def flag_writers(self) -> dict[str, frozenset[int]]:
         """Values each kernel flag can be set to by any effect block."""
         if self._writable is None:
-            writers: dict[str, set[int]] = {}
-            for block in self.kernel.blocks.values():
-                for key, value in block.effects:
-                    writers.setdefault(key, set()).add(value)
+            blocks = self.kernel.blocks
             self._writable = {
-                key: frozenset(values) for key, values in writers.items()
+                key: frozenset(
+                    value
+                    for writer in writers
+                    for k, value in blocks[writer].effects
+                    if k == key
+                )
+                for key, writers in self.kernel.writers_of_flag.items()
             }
         return self._writable
 
     def writer_blocks(self, key: str, value: int) -> list[int]:
         """Blocks whose effects assign ``value`` to flag ``key``."""
-        return sorted(
-            block_id
-            for block_id, block in self.kernel.blocks.items()
-            if any(k == key and v == value for k, v in block.effects)
-        )
+        return [
+            writer
+            for writer in self.kernel.writers_of_flag.get(key, ())
+            if (key, value) in self.kernel.blocks[writer].effects
+        ]
 
     # ----- feasibility -----
 
@@ -473,24 +410,6 @@ class ReachabilityAnalysis:
 
     def solvable(self, block_id: int) -> bool:
         return not self.is_dead(block_id)
-
-    # ----- shared distance / dominators -----
-
-    def distance_to(self, target: int) -> dict[int, int]:
-        """Memoized reverse-BFS hop counts (shared with directed
-        fuzzing, which otherwise recomputes the map per fuzzer)."""
-        cached = self._distances.get(target)
-        if cached is None:
-            cached = self.kernel.distance_to(target)
-            self._distances[target] = cached
-        return cached
-
-    def dominators(self, syscall: str) -> dict[int, int | None]:
-        cached = self._dominators.get(syscall)
-        if cached is None:
-            cached = dominator_tree(self.kernel.handlers[syscall])
-            self._dominators[syscall] = cached
-        return cached
 
     # ----- witnesses -----
 

@@ -235,14 +235,21 @@ def _cmd_fuzz(args) -> int:
               f"blocks will be skipped as directed targets")
     director = None
     if directed_versions is not None:
-        from repro.analyze import PatchDirector, build_target_manifest
+        from repro.analyze import (
+            DependencyOracle,
+            PatchDirector,
+            build_target_manifest,
+        )
 
         old = build_kernel(
             directed_versions[0], seed=args.kernel_seed, size=args.size
         )
-        manifest = build_target_manifest(old, kernel)
+        oracle = DependencyOracle(kernel)
+        manifest = build_target_manifest(old, kernel, oracle=oracle)
         counts = manifest.counts()
-        director = PatchDirector(kernel, manifest, observer=observer)
+        director = PatchDirector(
+            kernel, manifest, oracle=oracle, observer=observer
+        )
         print(f"patch {old.version} -> {kernel.version}: "
               f"{len(director.targets)} fuzzable changed block(s) "
               f"({counts['solvable']} solvable, "

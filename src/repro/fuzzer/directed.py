@@ -4,8 +4,10 @@ A directed fuzzer tries to *reach* a specific kernel block instead of
 maximising total coverage.  The reimplementation captures SyzDirect's
 mechanism class:
 
-- static distance: a reverse-BFS hop count toward the target over the
-  kernel CFG, used to rank corpus tests by their closest approach;
+- static distance: the reverse hop count toward the target over the
+  kernel CFG (a :class:`~repro.analyze.distance.DistanceField` with
+  producer edges priced at infinity), used to rank corpus tests by their
+  closest approach;
 - resource-aware call planting: if the base test never invokes the
   target's system call, insert it (with any producer calls its resources
   need);
@@ -18,11 +20,12 @@ PMM, queried with the target block marked (§5.4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ReproError
 from repro.fuzzer.corpus import Corpus
 from repro.fuzzer.localizer import Localizer
 from repro.fuzzer.mutations import ArgumentInstantiator
@@ -105,30 +108,18 @@ class SyzDirectLocalizer:
         """Oracle slots when sliced, else sites on target-syscall calls
         first, then their upstream resource producers, then anything."""
         if self.oracle is not None and targets:
-            exact: list[ArgPath] = []
-            pending: list[ArgPath] = []
-            seen: set[ArgPath] = set()
-            seen_pending: set[ArgPath] = set()
-            for target in sorted(targets):
-                deps = self.oracle.dependencies(target)
-                for path in deps.steering_paths(program):
-                    if path not in seen:
-                        seen.add(path)
-                        exact.append(path)
-                for path in deps.pending_paths(program):
-                    if path not in seen_pending:
-                        seen_pending.add(path)
-                        pending.append(path)
             # Only the still-violated slots: re-randomizing slots the
             # base already satisfies would throw that progress away.
             # Never truncated to k either — every slot is *mandatory*,
             # so a deterministic cap would permanently starve the slots
             # beyond it.  All-satisfied programs (state deps, or a
             # not-taken edge) fall back to the full slot set.
-            if pending:
-                return pending
-            if exact:
-                return exact
+            slots = (
+                self.oracle.pending_paths(program, targets)
+                or self.oracle.steering_paths(program, targets)
+            )
+            if slots:
+                return slots
         sites = program.mutation_sites()
         if not sites:
             return []
@@ -181,10 +172,6 @@ class DirectedFuzzer:
         # for a learned localizer; reproduces Table 5's slight slowdowns
         # on trivial targets.
         mutation_overhead: float = 0.0,
-        # Optional repro.analyze.ReachabilityAnalysis: shares its
-        # memoized reverse-BFS distance maps instead of recomputing one
-        # per fuzzer instance.
-        analysis=None,
     ):
         if target_block not in kernel.blocks:
             raise CampaignError(f"unknown target block {target_block}")
@@ -200,12 +187,15 @@ class DirectedFuzzer:
         self.insert_target_prob = insert_target_prob
         self.mutation_overhead = mutation_overhead
         self.instantiator = ArgumentInstantiator(generator, rng)
-        if analysis is not None:
-            self.distance = analysis.distance_to(target_block)
-        else:
-            self.distance = kernel.distance_to(target_block)
+        # Imported here: repro.analyze's package init imports this
+        # module (the patch director plants calls with it).
+        from repro.analyze.distance import DistanceField
+
+        self.distance = DistanceField(
+            kernel, [target_block], state_edge_cost=math.inf
+        ).distance
         self.corpus = Corpus()
-        self._closeness: list[int] = []
+        self._closeness: list[float] = []
 
     # ----- setup -----
 
@@ -219,9 +209,10 @@ class DirectedFuzzer:
             self.corpus.add(program, result.coverage, signal=1)
             self._closeness.append(self._approach(result.coverage))
 
-    def _approach(self, coverage: Coverage) -> int:
-        """Hops from the test's closest covered block to the target."""
-        best = 10**9
+    def _approach(self, coverage: Coverage) -> float:
+        """Hops from the test's closest covered block to the target
+        (10**9 when no covered block has a finite distance)."""
+        best: float = 10**9
         for block in coverage.blocks:
             hops = self.distance.get(block)
             if hops is not None and hops < best:
@@ -287,7 +278,7 @@ class DirectedFuzzer:
         for path in paths:
             try:
                 self.instantiator.instantiate(mutated, path)
-            except Exception:
+            except ReproError:
                 continue
         return mutated
 

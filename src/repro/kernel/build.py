@@ -155,6 +155,9 @@ class Kernel:
     handler_of_block: dict[int, str] = field(default_factory=dict)
     succs: dict[int, tuple[int, ...]] = field(default_factory=dict)
     preds: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    # Flag key -> effect blocks writing it, by block id: the def side of
+    # every StateCondition's def-use chain.
+    writers_of_flag: dict[str, tuple[int, ...]] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.handler_of_block:
@@ -170,6 +173,13 @@ class Kernel:
                 for dst in dsts:
                     preds[dst].append(src)
             self.preds = {bid: tuple(ps) for bid, ps in preds.items()}
+        writers: dict[str, list[int]] = {}
+        for block_id, block in self.blocks.items():
+            for key, _value in block.effects:
+                writers.setdefault(key, []).append(block_id)
+        self.writers_of_flag = {
+            key: tuple(sorted(ids)) for key, ids in writers.items()
+        }
 
     @property
     def block_count(self) -> int:
@@ -188,30 +198,6 @@ class Kernel:
                 if succ not in covered:
                     result.add(succ)
         return result
-
-    def distance_from(self, source_blocks: set[int]) -> dict[int, int]:
-        """Forward BFS hop counts from a set of blocks."""
-        dist = {block_id: 0 for block_id in source_blocks}
-        frontier = deque(source_blocks)
-        while frontier:
-            current = frontier.popleft()
-            for succ in self.succs.get(current, ()):
-                if succ not in dist:
-                    dist[succ] = dist[current] + 1
-                    frontier.append(succ)
-        return dist
-
-    def distance_to(self, target: int) -> dict[int, int]:
-        """Reverse BFS hop counts toward ``target`` (directed fuzzing)."""
-        dist = {target: 0}
-        frontier = deque([target])
-        while frontier:
-            current = frontier.popleft()
-            for pred in self.preds.get(current, ()):
-                if pred not in dist:
-                    dist[pred] = dist[current] + 1
-                    frontier.append(pred)
-        return dist
 
     def guarding_condition(self, block_id: int) -> ArgCondition | StateCondition | None:
         """The condition of the closest conditional predecessor, if any."""

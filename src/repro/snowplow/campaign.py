@@ -1152,15 +1152,8 @@ def run_directed_campaign(
     trained: TrainedPMM,
     targets: list[int],
     config: CampaignConfig,
-    oracle=None,
-    analysis=None,
 ) -> dict[int, dict[str, list[DirectedResult]]]:
-    """Table 5: per-target time-to-reach for SyzDirect vs Snowplow-D.
-
-    ``oracle``/``analysis`` (from :mod:`repro.analyze`) upgrade the
-    SyzDirect mode to exact static steering slots and shared distance
-    maps; both default to None so baseline runs stay byte-identical.
-    """
+    """Table 5: per-target time-to-reach for SyzDirect vs Snowplow-D."""
     if not targets:
         raise CampaignError("directed campaign needs at least one target")
     results: dict[int, dict[str, list[DirectedResult]]] = {}
@@ -1180,9 +1173,7 @@ def run_directed_campaign(
                     kernel.table, split(run_seed, "gen", mode)
                 )
                 if mode == "syzdirect":
-                    localizer = SyzDirectLocalizer(
-                        target_syscall, oracle=oracle
-                    )
+                    localizer = SyzDirectLocalizer(target_syscall)
                     overhead = 0.0
                 else:
                     localizer = PMMLocalizer(
@@ -1202,7 +1193,6 @@ def run_directed_campaign(
                     cost=config.cost,
                     rng=split(run_seed, "loop", mode),
                     mutation_overhead=overhead,
-                    analysis=analysis,
                 )
                 fuzzer.seed([program.clone() for program in seeds])
                 per_mode[mode].append(fuzzer.run())
@@ -1259,21 +1249,30 @@ def run_patch_campaign(
     steers mutations toward them.  The ratio of the two
     time-to-all-targets numbers is the directed bench's headline.
     """
-    from repro.analyze.impact import PatchDirector, build_target_manifest
+    from repro.analyze import (
+        DependencyOracle,
+        PatchDirector,
+        build_target_manifest,
+    )
 
+    oracle = DependencyOracle(new_kernel)
     if manifest is None:
-        manifest = build_target_manifest(old_kernel, new_kernel)
+        manifest = build_target_manifest(
+            old_kernel, new_kernel, oracle=oracle
+        )
     targets = tuple(manifest.fuzzable_blocks())
     run_seed = derive_seed(
         config.seed, "patch", old_kernel.version, new_kernel.version
     )
-    plain_director = PatchDirector(new_kernel, manifest, observe_only=True)
+    plain_director = PatchDirector(
+        new_kernel, manifest, oracle=oracle, observe_only=True
+    )
     plain_stats = build_fuzz_loop(
         new_kernel, None, run_seed, config, oracle=True,
         director=plain_director,
     ).run()
 
-    directed_director = PatchDirector(new_kernel, manifest)
+    directed_director = PatchDirector(new_kernel, manifest, oracle=oracle)
     directed_stats = build_fuzz_loop(
         new_kernel, None, run_seed, config, oracle=True,
         director=directed_director,

@@ -1,17 +1,18 @@
-"""repro.analyze: abstract domain, dominators, reachability, the
+"""repro.analyze: abstract domain, reachability, hop distances, the
 dependency oracle, witness soundness, and the lint framework."""
 
 import copy
+import math
 
 import pytest
 
 from repro.analyze import (
     AbstractValue,
     DependencyOracle,
+    DistanceField,
     FlagRequirement,
     ReachabilityAnalysis,
     StaticOracleLocalizer,
-    dominator_tree,
     findings_json,
     load_findings,
     registered_checks,
@@ -23,10 +24,9 @@ from repro.analyze import (
 )
 from repro.errors import AnalysisError
 from repro.fuzzer import RandomLocalizer
-from repro.fuzzer.directed import SyzDirectLocalizer
+from repro.fuzzer.directed import SyzDirectLocalizer, plant_target_call
 from repro.kernel import Coverage, Executor, build_kernel
-from repro.kernel.blocks import BasicBlock, BlockRole
-from repro.kernel.cfg import HandlerCFG
+from repro.kernel.blocks import BlockRole
 from repro.kernel.conditions import ArgCondition, CondOp, StateCondition
 from repro.pmm import DatasetConfig, PMMConfig, TrainConfig, evaluate_selector
 from repro.rng import derive_seed, make_rng, split
@@ -148,43 +148,36 @@ class TestFlagRequirement:
 # ----- dominators -----
 
 
-def _mk_cfg(roles, succs):
-    cfg = HandlerCFG(syscall="test$cfg", entry=0)
-    for block_id, role in roles.items():
-        cfg.blocks[block_id] = BasicBlock(
-            block_id=block_id, label=f"b{block_id}", subsystem="test",
-            role=role,
-        )
-    cfg.succs = {k: tuple(v) for k, v in succs.items()}
-    cfg.validate()
-    return cfg
+# ----- hop distances -----
 
 
-class TestDominatorTree:
-    def test_nested_diamond(self):
-        c = BlockRole.CONDITION
-        b = BlockRole.BODY
-        cfg = _mk_cfg(
-            {0: BlockRole.ENTRY, 1: c, 2: b, 3: c, 4: b, 5: b,
-             6: BlockRole.EXIT_SUCCESS},
-            {0: [1], 1: [2, 3], 2: [6], 3: [4, 5], 4: [6], 5: [6], 6: []},
-        )
-        idom = dominator_tree(cfg)
-        assert idom == {0: None, 1: 0, 2: 1, 3: 1, 4: 3, 5: 3, 6: 1}
+def _reverse_bfs(kernel, target):
+    """Reference reverse hop counts toward ``target`` over CFG edges."""
+    dist = {target: 0}
+    frontier = [target]
+    while frontier:
+        following = []
+        for block_id in frontier:
+            for pred in kernel.preds[block_id]:
+                if pred not in dist:
+                    dist[pred] = dist[block_id] + 1
+                    following.append(pred)
+        frontier = following
+    return dist
 
-    def test_straight_line(self):
-        cfg = _mk_cfg(
-            {0: BlockRole.ENTRY, 1: BlockRole.BODY,
-             2: BlockRole.EXIT_SUCCESS},
-            {0: [1], 1: [2], 2: []},
-        )
-        assert dominator_tree(cfg) == {0: None, 1: 0, 2: 1}
 
-    def test_matches_reachability_wrapper(self, tiny_68, reach_68):
-        name = sorted(tiny_68.handlers)[0]
-        assert reach_68.dominators(name) == dominator_tree(
-            tiny_68.handlers[name]
-        )
+class TestHopDistance:
+    def test_hop_field_equals_reverse_bfs(self, tiny_68):
+        """With producer edges priced at infinity the distance field is
+        exactly the reverse BFS hop count, on every bug block and every
+        handler exit."""
+        targets = set(tiny_68.bug_blocks.values())
+        for cfg in tiny_68.handlers.values():
+            targets.update(cfg.exits())
+        assert len(targets) > len(tiny_68.bug_blocks)
+        for target in sorted(targets):
+            field = DistanceField(tiny_68, [target], state_edge_cost=math.inf)
+            assert field.distance == _reverse_bfs(tiny_68, target), target
 
 
 # ----- reachability -----
@@ -256,8 +249,16 @@ class TestReachability:
         assert checked > 0
 
     def test_distance_matches_kernel(self, tiny_68, reach_68):
+        """Along a feasible entry path to a bug block, the hop field
+        never exceeds the hops the path itself still needs."""
         target = sorted(tiny_68.bug_blocks.values())[0]
-        assert reach_68.distance_to(target) == tiny_68.distance_to(target)
+        path = reach_68.feasible_path(target)
+        assert path is not None
+        hops = DistanceField(tiny_68, [target], state_edge_cost=math.inf)
+        remaining = len(path.blocks) - 1
+        for offset, block_id in enumerate(path.blocks):
+            assert hops.distance[block_id] <= remaining - offset
+        assert hops.distance[target] == 0
 
     def test_injected_contradiction_kills_bug_chain(self, tiny_68):
         mutant, crash_id = _inject_dead_bug_chain(tiny_68)
@@ -379,6 +380,29 @@ class TestDependencyOracle:
                 }
                 assert set(dep.producers) <= writer_syscalls
         assert state_dep_seen
+
+
+    def test_multi_target_paths_union_per_target(self, tiny_68, oracle_68):
+        generator = ProgramGenerator(tiny_68.table, make_rng(6))
+        rng = make_rng(7)
+        targets = sorted(tiny_68.bug_blocks.values())[:4]
+        for _ in range(10):
+            program = generator.random_program()
+            for target in targets:
+                plant_target_call(
+                    program, generator, tiny_68.handler_of_block[target], rng
+                )
+            steering, pending = [], []
+            for target in sorted(targets):
+                deps = oracle_68.dependencies(target)
+                steering += [p for p in deps.steering_paths(program)
+                             if p not in steering]
+                pending += [p for p in deps.pending_paths(program)
+                            if p not in pending]
+            assert steering and pending
+            shuffled = list(reversed(targets))
+            assert oracle_68.steering_paths(program, shuffled) == steering
+            assert oracle_68.pending_paths(program, shuffled) == pending
 
 
 class TestStaticOracleLocalizer:

@@ -3,9 +3,11 @@
 Each test runs one ``run_*_campaign`` protocol at tiny/6.8 scale with a
 short horizon and compares sha256 digests of what it computed —
 ``signature()``s, reached-target maps and crash lists — against
-``tests/golden/campaign_signatures.json``.  The digests change only when
-a campaign's virtual-time behaviour changes, so refactors of the loop,
-serving-tier and model-loading construction paths must keep them.
+``tests/golden/campaign_signatures.json``; the ``impact`` entry pins
+the 6.8 -> 6.9 release-diff report and target manifest the patch
+campaign starts from.  The digests change only when a campaign's
+virtual-time behaviour changes, so refactors of the loop, serving-tier,
+model-loading and directed-fuzzing paths must keep them.
 
 Regenerate the golden file (only for an intended behaviour change) with::
 
@@ -18,10 +20,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.analyze import DependencyOracle
+from repro.analyze.impact import build_target_manifest, compute_impact
 from repro.cluster import ClusterConfig
 from repro.faults import FaultPlan
+from repro.fuzzer.directed import DirectedFuzzer, SyzDirectLocalizer
 from repro.graphs.encode import AsmVocab, GraphEncoder
 from repro.kernel import build_kernel
+from repro.kernel.conditions import StateCondition
+from repro.kernel.executor import Executor
 from repro.pmm import PMM, PMMConfig
 from repro.service.runner import encode_signature
 from repro.snowplow import (
@@ -29,13 +36,15 @@ from repro.snowplow import (
     run_chaos_campaign,
     run_coverage_campaign,
     run_crash_campaign,
+    run_directed_campaign,
     run_fault_tolerance_campaign,
     run_patch_campaign,
     run_scaling_campaign,
 )
-from repro.snowplow.campaign import TrainedPMM
-from repro.syzlang import serialize_program
-from repro.vclock import CostModel
+from repro.rng import derive_seed, split
+from repro.snowplow.campaign import TrainedPMM, default_directed_targets
+from repro.syzlang import ProgramGenerator, serialize_program
+from repro.vclock import CostModel, VirtualClock
 
 GOLDEN = Path(__file__).parent / "golden" / "campaign_signatures.json"
 
@@ -147,6 +156,57 @@ def _patch(kernels, trained):
     ]
 
 
+def _directed_result(result) -> list:
+    return [result.target_block, result.reached, result.time_to_target,
+            result.executions]
+
+
+def _directed(kernels, trained):
+    """Table 5's protocol plus one oracle-steered SyzDirect run, so the
+    pin covers the distance ranking and the oracle slot union."""
+    kernel = kernels["6.8"]
+    config = _config(seed=11)
+    targets = default_directed_targets(kernel, count=2)
+    results = run_directed_campaign(kernel, trained, targets, config)
+    # A state-guarded target: producer edges would change its distance
+    # map, so the pin also holds DirectedFuzzer to the plain hop count.
+    target = next(
+        block_id for block_id in sorted(kernel.blocks)
+        if isinstance(kernel.guarding_condition(block_id), StateCondition)
+    )
+    run_seed = derive_seed(config.seed, "pin-directed", target)
+    fuzzer = DirectedFuzzer(
+        kernel=kernel,
+        target_block=target,
+        executor=Executor(kernel, seed=derive_seed(run_seed, "exec")),
+        generator=ProgramGenerator(kernel.table, split(run_seed, "gen")),
+        localizer=SyzDirectLocalizer(
+            kernel.handler_of_block[target],
+            oracle=DependencyOracle(kernel),
+        ),
+        clock=VirtualClock(horizon=config.horizon),
+        cost=config.cost,
+        rng=split(run_seed, "loop"),
+    )
+    fuzzer.seed(ProgramGenerator(
+        kernel.table, split(run_seed, "seed-corpus")
+    ).seed_corpus(8))
+    oracle_run = fuzzer.run()
+    return [
+        [[block, mode, [_directed_result(r) for r in results[block][mode]]]
+         for block in targets for mode in sorted(results[block])],
+        _directed_result(oracle_run),
+        [int(hops) for hops in fuzzer._closeness],
+        sorted([block, int(hops)] for block, hops in fuzzer.distance.items()),
+    ]
+
+
+def _impact(kernels, trained):
+    report = compute_impact(kernels["6.8"], kernels["6.9"])
+    manifest = build_target_manifest(kernels["6.8"], kernels["6.9"], report)
+    return [report.to_json(), manifest.to_json()]
+
+
 def _scaling(kernels, trained):
     result = run_scaling_campaign(
         kernels["6.8"], trained, _config(seed=13), worker_counts=(1, 2),
@@ -181,8 +241,10 @@ def _chaos(kernels, trained):
 CAMPAIGNS = {
     "coverage": _coverage,
     "crash": _crash,
+    "directed": _directed,
     "fault_crash_after_checkpoint": lambda k, t: _fault(k, t, 700.0),
     "fault_crash_before_checkpoint": lambda k, t: _fault(k, t, 150.0),
+    "impact": _impact,
     "patch": _patch,
     "scaling": _scaling,
     "chaos": _chaos,

@@ -212,15 +212,6 @@ class TestDistanceField:
         assert field.program_distance({target}) == 0.0
         assert field.program_distance(set()) == math.inf
 
-    def test_steering_spine_is_dominating_conditions(self, tiny_69, manifest):
-        field = DistanceField(tiny_69, manifest.fuzzable_blocks())
-        from repro.kernel.blocks import BlockRole
-
-        for target in field.targets[:10]:
-            spine = field.steering_spine(target)
-            for block in spine:
-                assert tiny_69.blocks[block].role is BlockRole.CONDITION
-
 
 class TestImpactLint:
     def test_stock_diff_passes_strict(

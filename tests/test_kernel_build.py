@@ -1,7 +1,10 @@
 """Tests for synthetic kernel construction and static analysis."""
 
+import math
+
 import pytest
 
+from repro.analyze import DistanceField
 from repro.errors import KernelBuildError
 from repro.kernel import BlockRole, build_kernel
 from repro.kernel.build import (
@@ -62,6 +65,18 @@ class TestKernelStructure:
             for dst in dsts:
                 assert src in kernel.preds[dst]
 
+    def test_writers_of_flag_indexes_every_effect(self, kernel):
+        """The flag-writer index lists exactly the effect blocks of each
+        flag, in block-id order."""
+        expected = {}
+        for block_id in sorted(kernel.blocks):
+            for key, _value in kernel.blocks[block_id].effects:
+                expected.setdefault(key, []).append(block_id)
+        assert expected
+        assert {
+            key: list(ids) for key, ids in kernel.writers_of_flag.items()
+        } == expected
+
     def test_deterministic_build(self):
         a = build_kernel("6.8", seed=9, size="small")
         b = build_kernel("6.8", seed=9, size="small")
@@ -81,10 +96,12 @@ class TestFrontier:
     def test_frontier_empty_for_empty_coverage(self, kernel):
         assert kernel.frontier(set()) == set()
 
-    def test_distance_to_target(self, kernel):
+    def test_exit_hop_distance(self, kernel):
         cfg = next(iter(kernel.handlers.values()))
         exits = cfg.exits()
-        distance = kernel.distance_to(exits[0])
+        distance = DistanceField(
+            kernel, [exits[0]], state_edge_cost=math.inf
+        ).distance
         assert distance[exits[0]] == 0
         assert cfg.entry in distance  # exit reachable from entry
 

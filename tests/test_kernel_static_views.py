@@ -1,10 +1,18 @@
 """Property tests on the kernel's static-analysis views."""
 
+import math
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analyze import DistanceField
 from repro.kernel import Executor
 from repro.rng import make_rng
 from repro.syzlang import ProgramGenerator
+
+
+def _hops(kernel, target):
+    """Reverse hop counts toward ``target`` (producer edges off)."""
+    return DistanceField(kernel, [target], state_edge_cost=math.inf).distance
 
 
 class TestStaticViews:
@@ -50,22 +58,26 @@ class TestStaticViews:
             one_hop.update(kernel.succs.get(block, ()))
         assert frontier <= one_hop
 
-    def test_distance_from_matches_distance_to(self, kernel):
-        """Forward distance from {entry} agrees with reverse distance to
-        a fixed target, for blocks on shortest entry paths."""
+    def test_hop_distances_are_shortest(self, kernel):
+        """Reverse hop counts to a fixed exit obey the triangle
+        inequality on every CFG edge and are tight: each block at
+        distance d > 0 has a successor at distance d - 1."""
         name = sorted(kernel.handlers)[0]
         cfg = kernel.handlers[name]
         exits = cfg.exits()
-        forward = kernel.distance_from({cfg.entry})
-        backward = kernel.distance_to(exits[0])
-        # Triangle inequality: entry->exit length is bounded by any
-        # intermediate split.
-        if exits[0] in forward and cfg.entry in backward:
-            direct = forward[exits[0]]
-            assert direct <= backward[cfg.entry] + forward[cfg.entry]
+        backward = _hops(kernel, exits[0])
+        assert cfg.entry in backward
+        for block_id, hops in backward.items():
+            succ_hops = [
+                backward[succ] for succ in kernel.succs.get(block_id, ())
+                if succ in backward
+            ]
+            assert all(hops <= other + 1 for other in succ_hops)
+            if hops > 0:
+                assert hops - 1 in succ_hops
 
     def test_distance_maps_nonnegative(self, kernel):
         name = sorted(kernel.handlers)[0]
         cfg = kernel.handlers[name]
-        for distance in kernel.distance_to(cfg.exits()[0]).values():
+        for distance in _hops(kernel, cfg.exits()[0]).values():
             assert distance >= 0
