@@ -33,7 +33,14 @@ from repro.kernel.conditions import scalar_view
 from repro.kernel.coverage import Coverage
 from repro.kernel.state import KernelState
 from repro.rng import make_rng
-from repro.syzlang.program import Program, ResourceValue
+from repro.syzlang.program import (
+    ArrayValue,
+    Program,
+    PtrValue,
+    ResourceValue,
+    StructValue,
+    Value,
+)
 
 __all__ = ["ExecResult", "ExecTimeout", "Executor"]
 
@@ -41,6 +48,12 @@ _MAX_STEPS_PER_CALL = 100_000
 # Probability that a non-reproducible (concurrency-flavoured) bug fires
 # when its guarded block is reached.
 _FLAKY_TRIGGER_PROB = 0.35
+# Step-table entry of a block whose condition has no operand to record.
+_NO_OPERAND = object()
+_CONDITION = BlockRole.CONDITION
+_CRASH = BlockRole.CRASH
+_EXIT_SUCCESS = BlockRole.EXIT_SUCCESS
+_EXIT_ERROR = BlockRole.EXIT_ERROR
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,12 @@ class Executor:
 
     One executor can run many programs; each run gets a pristine
     :class:`KernelState` (the VM snapshot is reloaded).
+
+    The first call of each handler compiles its CFG into a step table,
+    ``block_id → (block, role, effects, condition, operand, succs)``,
+    which later calls step through without re-reading the CFG.  The
+    tables are kept for the executor's lifetime, so a handler must not
+    be edited after this executor has first run it.
     """
 
     def __init__(
@@ -109,6 +128,8 @@ class Executor:
         self.vm_restarts = 0
         self.profiler = profiler
         self._rng = make_rng(seed)
+        # Handler name -> (entry block, step table), see _steps_of.
+        self._steps: dict[str, tuple[int, dict[int, tuple]]] = {}
 
     def run(self, program: Program, now: float = 0.0) -> ExecResult:
         """Execute ``program`` from a fresh snapshot.
@@ -185,20 +206,37 @@ class Executor:
     ) -> dict[tuple[int, ...], int]:
         """Scalar view of every argument path of one call.
 
+        Keys are the ``ArgPath.elements`` of :meth:`Program.walk_call`,
+        and values are :func:`~repro.kernel.conditions.scalar_view`.
         Resource arguments resolve to the runtime handle returned by
         their producer call (0 when the producer failed or is NULL).
         """
         flat: dict[tuple[int, ...], int] = {}
-        for path, value in program.walk_call(call_index):
-            if isinstance(value, ResourceValue):
-                producer = value.producer
-                if producer is None or producer >= len(retvals):
-                    flat[path.elements] = 0
-                else:
-                    flat[path.elements] = max(retvals[producer], 0)
-            else:
-                flat[path.elements] = scalar_view(value)
+        for arg_index, arg in enumerate(program.calls[call_index].args):
+            _flatten(arg, (arg_index,), flat, retvals)
         return flat
+
+    def _steps_of(self, call) -> tuple[int, dict[int, tuple]]:
+        """The step table of ``call``'s handler, built on first use."""
+        name = call.spec.full_name
+        steps = self._steps.get(name)
+        if steps is not None:
+            return steps
+        cfg = self.kernel.handlers.get(name)
+        if cfg is None:
+            raise ExecutionError(
+                f"kernel {self.kernel.version} has no handler for {name!r}"
+            )
+        table = {}
+        for block_id, block in cfg.blocks.items():
+            condition = block.condition
+            table[block_id] = (
+                block, block.role, block.effects, condition,
+                getattr(condition, "operand", _NO_OPERAND),
+                cfg.successors(block_id),
+            )
+        steps = self._steps[name] = (cfg.entry, table)
+        return steps
 
     def _run_call(
         self,
@@ -207,20 +245,20 @@ class Executor:
         state: KernelState,
         operands: set[int] | None = None,
     ) -> tuple[list[int], int, CrashReport | None]:
-        cfg = self.kernel.handlers.get(call.spec.full_name)
-        if cfg is None:
-            raise ExecutionError(
-                f"kernel {self.kernel.version} has no handler for "
-                f"{call.spec.full_name!r}"
-            )
+        current, table = self._steps_of(call)
         trace: list[int] = []
-        current = cfg.entry
+        flags = state.flags
         for _ in range(_MAX_STEPS_PER_CALL):
-            block = cfg.blocks[current]
+            block, role, effects, condition, operand, succs = table[current]
             trace.append(current)
-            for key, flag_value in block.effects:
-                state.flags[key] = flag_value
-            if block.role is BlockRole.CRASH:
+            for key, flag_value in effects:
+                flags[key] = flag_value
+            if role is _CONDITION:
+                if operands is not None and operand is not _NO_OPERAND:
+                    operands.add(operand)
+                taken = condition.evaluate(flat, state)
+                current = succs[1] if taken else succs[0]
+            elif role is _CRASH:
                 bug = block.bug
                 assert bug is not None
                 triggers = bug.reproducible or (
@@ -237,22 +275,14 @@ class Executor:
                     return trace, -5, report
                 # Near-miss: the race window closed; fall through.
                 return trace, -5, None
-            if block.role is BlockRole.EXIT_SUCCESS:
+            elif role is _EXIT_SUCCESS:
                 retval = 0
                 produces = call.spec.produces
                 if produces is not None:
                     retval = state.open_handle(kind=produces.name)
                 return trace, retval, None
-            if block.role is BlockRole.EXIT_ERROR:
+            elif role is _EXIT_ERROR:
                 return trace, -block.errno, None
-            succs = cfg.successors(current)
-            if block.role is BlockRole.CONDITION:
-                condition = block.condition
-                assert condition is not None
-                if operands is not None and hasattr(condition, "operand"):
-                    operands.add(condition.operand)
-                taken = condition.evaluate(flat, state)
-                current = succs[1] if taken else succs[0]
             else:
                 current = succs[0]
         error = ExecutorHang(
@@ -271,3 +301,30 @@ class Executor:
         slice_len = int(self._rng.integers(1, len(irq) - start + 1))
         cut = int(self._rng.integers(0, len(trace) + 1))
         return trace[:cut] + irq[start : start + slice_len] + trace[cut:]
+
+
+def _flatten(
+    value: Value,
+    elements: tuple[int, ...],
+    flat: dict[tuple[int, ...], int],
+    retvals: list[int],
+) -> None:
+    """Write the scalar view of ``value`` and its subtree into ``flat``,
+    in :meth:`Program.walk_call` order."""
+    if isinstance(value, ResourceValue):
+        producer = value.producer
+        if producer is None or producer >= len(retvals):
+            flat[elements] = 0
+        else:
+            flat[elements] = max(retvals[producer], 0)
+        return
+    flat[elements] = scalar_view(value)
+    if isinstance(value, PtrValue):
+        if value.pointee is not None:
+            _flatten(value.pointee, elements + (0,), flat, retvals)
+    elif isinstance(value, StructValue):
+        for index, child in enumerate(value.fields):
+            _flatten(child, elements + (index,), flat, retvals)
+    elif isinstance(value, ArrayValue):
+        for index, child in enumerate(value.elems):
+            _flatten(child, elements + (index,), flat, retvals)

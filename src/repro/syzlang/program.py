@@ -2,16 +2,15 @@
 
 A :class:`Program` is a short sequence of system-call invocations, each
 carrying a tree of concrete argument values shaped by its
-:class:`~repro.syzlang.spec.SyscallSpec`.  Programs support deep cloning,
-validation, insertion/removal of calls with resource fix-up, and — most
-importantly for the paper — enumeration of every *mutation site*: each
-mutable leaf argument, however deeply nested, addressed by an
-:class:`ArgPath`.
+:class:`~repro.syzlang.spec.SyscallSpec`.  Programs support structural
+cloning sharing frozen types, validation, insertion/removal of calls
+with resource fix-up, and — most importantly for the paper —
+enumeration of every *mutation site*: each mutable leaf argument,
+however deeply nested, addressed by an :class:`ArgPath`.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 from repro.errors import ProgramError
@@ -71,12 +70,16 @@ class ArgPath:
 
 
 class Value:
-    """Base class of all concrete argument values."""
+    """Base class of all concrete argument values.
+
+    ``clone`` copies the mutable value tree and shares ``ty``: every
+    :class:`~repro.syzlang.types.Type` is a frozen dataclass.
+    """
 
     ty: Type
 
     def clone(self) -> "Value":
-        return copy.deepcopy(self)
+        raise NotImplementedError
 
 
 @dataclass
@@ -85,6 +88,9 @@ class IntValue(Value):
 
     ty: Type  # IntType | FlagsType | LenType
     value: int = 0
+
+    def clone(self) -> "IntValue":
+        return IntValue(self.ty, self.value)
 
 
 @dataclass
@@ -97,11 +103,17 @@ class ConstValue(Value):
     def value(self) -> int:
         return self.ty.value
 
+    def clone(self) -> "ConstValue":
+        return ConstValue(self.ty)
+
 
 @dataclass
 class BufferValue(Value):
     ty: BufferType
     data: bytes = b""
+
+    def clone(self) -> "BufferValue":
+        return BufferValue(self.ty, self.data)
 
 
 @dataclass
@@ -112,17 +124,29 @@ class PtrValue(Value):
     address: int = DATA_AREA_BASE
     pointee: "Value | None" = None
 
+    def clone(self) -> "PtrValue":
+        pointee = self.pointee
+        return PtrValue(
+            self.ty, self.address, None if pointee is None else pointee.clone()
+        )
+
 
 @dataclass
 class StructValue(Value):
     ty: StructType
     fields: list[Value] = field(default_factory=list)
 
+    def clone(self) -> "StructValue":
+        return StructValue(self.ty, [child.clone() for child in self.fields])
+
 
 @dataclass
 class ArrayValue(Value):
     ty: ArrayType
     elems: list[Value] = field(default_factory=list)
+
+    def clone(self) -> "ArrayValue":
+        return ArrayValue(self.ty, [child.clone() for child in self.elems])
 
 
 @dataclass
@@ -135,6 +159,9 @@ class ResourceValue(Value):
 
     ty: ResourceType
     producer: int | None = None
+
+    def clone(self) -> "ResourceValue":
+        return ResourceValue(self.ty, self.producer)
 
 
 def zero_value(ty: Type) -> Value:
@@ -359,19 +386,7 @@ class Program:
                     elif value.producer > index:
                         value.producer -= 1
 
-    # ----- executor support -----
-
-    def flat_args(self, call_index: int) -> dict[tuple[int, ...], Value]:
-        """Leaf values of one call keyed by path elements.
-
-        The kernel executor evaluates branch conditions against this map.
-        """
-        return {
-            path.elements: value
-            for path, value in self.walk_call(call_index)
-            if not isinstance(value, (PtrValue, StructValue, ArrayValue))
-            or (isinstance(value, PtrValue) and value.pointee is None)
-        }
+    # ----- length fields -----
 
     def resolve_len_fields(self) -> None:
         """Recompute every LenType field from its sibling buffer/array.

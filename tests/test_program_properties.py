@@ -1,13 +1,69 @@
 """Hypothesis property tests on core program invariants."""
 
+import copy
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.kernel import Executor, build_kernel
 from repro.rng import make_rng
-from repro.syzlang import ProgramGenerator, build_standard_table
+from repro.syzlang import ProgramGenerator, serialize_program
+from repro.syzlang.program import (
+    ArrayValue,
+    BufferValue,
+    Call,
+    IntValue,
+    Program,
+    PtrValue,
+    ResourceValue,
+    StructValue,
+    zero_value,
+)
+
+TINY_VERSIONS = ("6.8", "6.9", "6.10")
 
 
 def _program(seed, table):
     return ProgramGenerator(table, make_rng(seed)).random_program()
+
+
+def _deepcopy_clone(program):
+    """Reference clone: copies every value tree including its types."""
+    return Program([
+        Call(call.spec, [copy.deepcopy(arg) for arg in call.args])
+        for call in program.calls
+    ])
+
+
+def _mutable_nodes(program):
+    """Every Call, Value and list object reachable from ``program``."""
+    nodes = [program.calls]
+    for call in program.calls:
+        nodes += [call, call.args]
+    for _, value in program.walk():
+        nodes.append(value)
+        if isinstance(value, StructValue):
+            nodes.append(value.fields)
+        elif isinstance(value, ArrayValue):
+            nodes.append(value.elems)
+    return nodes
+
+
+def _rewrite_in_place(value):
+    if isinstance(value, IntValue):
+        value.value += 1
+    elif isinstance(value, BufferValue):
+        value.data += b"\x01"
+    elif isinstance(value, ResourceValue):
+        value.producer = None if value.producer is not None else 0
+
+
+@pytest.fixture(scope="module")
+def tiny_tables():
+    return {
+        version: build_kernel(version, seed=1, size="tiny").table
+        for version in TINY_VERSIONS
+    }
 
 
 class TestStructuralInvariants:
@@ -65,8 +121,6 @@ class TestStructuralInvariants:
     )
     @given(seed=st.integers(0, 50_000))
     def test_clone_preserves_sites_and_serialization(self, table, seed):
-        from repro.syzlang import serialize_program
-
         program = _program(seed, table)
         clone = program.clone()
         assert serialize_program(clone) == serialize_program(program)
@@ -75,16 +129,59 @@ class TestStructuralInvariants:
         ]
 
     @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 50_000), version=st.sampled_from(TINY_VERSIONS)
+    )
+    def test_structural_clone_matches_deepcopy(self, tiny_tables, seed, version):
+        """Property: the structural clone equals the deepcopy reference,
+        shares every frozen type, and shares no mutable node."""
+        program = _program(seed, tiny_tables[version])
+        reference = _deepcopy_clone(program)
+        clone = program.clone()
+        original_text = serialize_program(program)
+        assert serialize_program(clone) == serialize_program(reference)
+        assert serialize_program(clone) == original_text
+        assert [path for path, _ in clone.walk()] == [
+            path for path, _ in reference.walk()
+        ]
+        for (_, value), (_, copied) in zip(program.walk(), clone.walk()):
+            assert copied.ty is value.ty
+            assert type(copied) is type(value)
+        original_ids = {id(node) for node in _mutable_nodes(program)}
+        assert not original_ids & {id(node) for node in _mutable_nodes(clone)}
+        # Writes through the clone, in place and by replacement, never
+        # reach the original.
+        sites = clone.mutation_sites()
+        for path in sites:
+            _rewrite_in_place(clone.get(path))
+        assert serialize_program(program) == original_text
+        for path in sites:
+            clone.set(path, zero_value(clone.get(path).ty))
+        for call in clone.calls:
+            for arg in call.args:
+                if isinstance(arg, PtrValue):
+                    arg.pointee = None
+        assert serialize_program(program) == original_text
+
+    @settings(
         max_examples=20,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(seed=st.integers(0, 50_000))
-    def test_flat_args_subset_of_walk(self, table, seed):
-        program = _program(seed, table)
+    def test_scalar_view_keys_equal_walk(self, kernel, seed):
+        """The executor's scalar view of a call has one key per
+        ``walk_call`` element tuple."""
+        program = _program(seed, kernel.table)
+        executor = Executor(kernel)
+        retvals = executor.run(program).retvals
         for call_index in range(len(program)):
-            flat = program.flat_args(call_index)
+            flat = executor._resolve_scalars(program, call_index, retvals)
             walked = {
                 path.elements for path, _ in program.walk_call(call_index)
             }
-            assert set(flat) <= walked
+            assert set(flat) == walked
